@@ -10,11 +10,9 @@ from ricci_spectrum import (
     build_graph,
     first_complete_t,
     heat_kernel,
-    hop_distance,
     is_bipartite,
     neighborhood_graph,
     t_step_measure,
-    validate_connected,
 )
 
 square = build_graph([(i, (i + 1) % 4, 1) for i in range(4)])
@@ -25,13 +23,13 @@ print("pentagon (odd cycle):", is_bipartite(pentagon)[0])
 
 # Even t fractures the bipartite square into its two color classes.
 sq2 = neighborhood_graph(square, 2)
-print("\nsquare[2] connected:", validate_connected(sq2))
-print("square[2] distance between color classes:", hop_distance(sq2, 0, 1))
+print("\nsquare[2] connected:", sq2.is_connected())
+print("square[2] distance between color classes:", sq2.distance(0, 1))
 print("square[2] edges:", [(u, v, str(w)) for u, v, w in sq2.edges()])
 
 # Odd t keeps bipartite graphs connected and bipartite.
 sq3 = neighborhood_graph(square, 3)
-print("square[3] connected:", validate_connected(sq3),
+print("square[3] connected:", sq3.is_connected(),
       "| bipartite:", is_bipartite(sq3)[0])
 
 # The pentagon stays connected at every order and saturates at t = 4.

@@ -6,8 +6,6 @@ rational arithmetic: the optimum, the plan, and the 1-Lipschitz potential
 certifying optimality from the other side.
 """
 
-from fractions import Fraction
-
 from ricci_spectrum import (
     build_graph,
     dual_certificate,

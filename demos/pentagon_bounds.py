@@ -6,8 +6,6 @@ random-walk neighborhood graphs gives nontrivial two-sided bounds that keep
 improving with the walk length.
 """
 
-from fractions import Fraction
-
 from ricci_spectrum import (
     build_graph,
     global_lower_bound,

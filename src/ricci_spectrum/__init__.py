@@ -7,7 +7,7 @@ one float component, with documented tolerances.
 
 Main entry points:
 
-* build_graph, hop_distance, is_bipartite, neighbor_partition  (graph)
+* build_graph, is_bipartite, neighbor_partition  (graph)
 * one_step_measure, t_step_measure, neighborhood_graph, lazy_graph  (walk)
 * wasserstein, dual_certificate, verify_plan  (transport)
 * ricci_curvature, lower_bound_formula, upper_bound_formula,
@@ -25,13 +25,10 @@ from .graph import (
     NeighborhoodPartition,
     WeightedGraph,
     build_graph,
-    hop_distance,
     is_bipartite,
     neighbor_partition,
-    validate_connected,
 )
 from .walk import (
-    NeighborhoodGraph,
     ProbMeasure,
     first_complete_t,
     heat_kernel,
@@ -91,12 +88,9 @@ __all__ = [
     "WeightedGraph",
     "NeighborhoodPartition",
     "build_graph",
-    "hop_distance",
     "is_bipartite",
-    "validate_connected",
     "neighbor_partition",
     "ProbMeasure",
-    "NeighborhoodGraph",
     "one_step_measure",
     "t_step_measure",
     "neighborhood_graph",

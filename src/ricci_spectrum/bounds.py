@@ -32,16 +32,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .curvature import global_lower_bound, lower_bound_formula, ricci_curvature
+from .curvature import global_lower_bound, ricci_curvature
 from .errors import InvalidBoundInput
-from .graph import WeightedGraph, neighbor_partition, validate_connected
+from .graph import WeightedGraph, neighbor_partition
 from .spectrum import spectrum
 from .tolerances import BOUND_SLACK, EIGENVALUE_EXCLUSION_TOL
 from .transport import wasserstein
 from .walk import neighborhood_graph, one_step_measure
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -61,11 +58,15 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class ContractionAudit:
-    """Worst ratio of W_1(t-step walks) to (1-k)^t d(x, y) over all pairs."""
+    """Worst ratio of W_1(t-step walks) to (1-k)^t d(x, y) over all pairs.
 
-    k: Fraction
+    On a graph with no distinct-vertex edge the audit is inapplicable: k and
+    passed are None.
+    """
+
+    k: Optional[Fraction]
     t_max: int
-    passed: bool
+    passed: Optional[bool]
     equality_mode: bool
     max_ratio: Optional[Fraction]
     witness: Optional[tuple]
@@ -193,7 +194,7 @@ def sandwich_bounds(g: WeightedGraph, t: int) -> BoundReport:
     1 - (1-lambda)^t (exactly lambda in {0, 2}) are exempt from the check.
     """
     gt = neighborhood_graph(g, t)
-    restricted = not validate_connected(gt)
+    restricted = not gt.is_connected()
     k_t = global_lower_bound(gt, "exact")
     if k_t is None:
         return BoundReport(
@@ -397,11 +398,15 @@ def contraction_audit(g: WeightedGraph, t_max: int) -> ContractionAudit:
 
     k is the exact curvature infimum of the connected graph g.  For k = 1
     the right side vanishes and the audit degenerates to the equality check
-    W_1 = 0 for every pair.  Both sides stay rational throughout.
+    W_1 = 0 for every pair.  Both sides stay rational throughout.  Without a
+    distinct-vertex edge there is no k, and the audit is inapplicable.
     """
     k = global_lower_bound(g, "exact")
     if k is None:
-        raise ValueError("contraction audit needs at least one distinct-vertex edge")
+        return ContractionAudit(
+            k=None, t_max=t_max, passed=None, equality_mode=False,
+            max_ratio=None, witness=None,
+        )
     equality_mode = k == 1
     n = g.n_vertices
     measures = [one_step_measure(g, x) for x in range(n)]

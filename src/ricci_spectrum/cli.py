@@ -23,8 +23,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
-
 from . import __version__
 from .bounds import (
     contraction_audit,
@@ -43,11 +41,12 @@ from .curvature import (
 )
 from .errors import (
     CertificateGapNonzero,
+    InternalInconsistency,
     NonPositiveWeight,
     ParseError,
     RicciSpectrumError,
 )
-from .graph import WeightedGraph, build_graph, is_bipartite, validate_connected
+from .graph import WeightedGraph, build_graph, is_bipartite
 from .spectrum import spectrum, verify_transfer_identity
 from .tolerances import TRANSFER_IDENTITY_TOL
 from .walk import neighborhood_graph
@@ -269,7 +268,7 @@ def _audit_section(g: WeightedGraph, t_max: int, tolerance: float) -> dict:
         t: verify_transfer_identity(g, t) for t in range(1, t_max + 1)
     }
     ok = (
-        contraction.passed
+        contraction.passed is not False
         and all(m.lower_holds and m.upper_holds is not False for m in metric)
         and all(c.passed is not False for c in transfer)
         and all(dev <= tolerance for dev in identity.values())
@@ -289,7 +288,7 @@ def run(config: AnalysisConfig) -> Report:
     with open(config.input_path, "r", encoding="utf-8") as fh:
         text = fh.read()
     g, labels = parse_edge_list(text)
-    if not validate_connected(g):
+    if not g.is_connected():
         raise RicciSpectrumError("input graph is not connected")
 
     report = Report(
@@ -386,7 +385,7 @@ def main(argv=None) -> int:
     except (ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except CertificateGapNonzero as exc:
+    except InternalInconsistency as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (RicciSpectrumError, ValueError) as exc:

@@ -32,7 +32,7 @@ from typing import Optional
 
 import math
 
-from .errors import InfiniteDistance, NotNeighbors, SameVertex
+from .errors import InfiniteDistance, SameVertex
 from .graph import WeightedGraph, neighbor_partition
 from .transport import wasserstein
 from .walk import one_step_measure
@@ -86,6 +86,7 @@ def ricci_curvature(g: WeightedGraph, x: int, y: int) -> CurvatureValue:
 
 
 def _formula_terms(g: WeightedGraph, x: int, y: int):
+    """Partition, A, B and both closed-form bounds of an adjacent pair."""
     part = neighbor_partition(g, x, y)
     dx, dy = g.degree(x), g.degree(y)
     sum_min = ZERO
@@ -98,24 +99,22 @@ def _formula_terms(g: WeightedGraph, x: int, y: int):
     shared = 1 - part.edge_mass_x - part.edge_mass_y
     a = shared - sum_max
     b = shared - sum_min
-    return part, a, b, sum_min
+    lower = -max(a, ZERO) - max(b, ZERO) + sum_min + part.loop_x + part.loop_y
+    # the z = x and z = y terms of the upper bound's sum
+    upper = (
+        min(part.loop_x, part.edge_mass_y) + min(part.edge_mass_x, part.loop_y) + sum_min
+    )
+    return part, a, b, lower, upper
 
 
 def lower_bound_formula(g: WeightedGraph, x: int, y: int) -> Fraction:
     """Closed-form lower bound for kappa(x, y) on an adjacent pair."""
-    part, a, b, sum_min = _formula_terms(g, x, y)
-    return -max(a, ZERO) - max(b, ZERO) + sum_min + part.loop_x + part.loop_y
+    return _formula_terms(g, x, y)[3]
 
 
 def upper_bound_formula(g: WeightedGraph, x: int, y: int) -> Fraction:
     """Mass of m_x that need not move: an upper bound for kappa(x, y)."""
-    part = neighbor_partition(g, x, y)
-    dx, dy = g.degree(x), g.degree(y)
-    total = min(g.weight(x, x) / dx, g.weight(x, y) / dy)  # z = x
-    total += min(g.weight(x, y) / dx, g.weight(y, y) / dy)  # z = y
-    for z in part.n_xy:
-        total += min(g.weight(z, x) / dx, g.weight(z, y) / dy)
-    return total
+    return _formula_terms(g, x, y)[4]
 
 
 def _no_edge_between(g, left, right) -> bool:
@@ -139,9 +138,7 @@ def sharpness_case(g: WeightedGraph, x: int, y: int) -> BoundFormulaResult:
     ``equality`` is the exact comparison lower == kappa, which can hold even
     when the sufficient conditions fail.
     """
-    part, a, b, sum_min = _formula_terms(g, x, y)
-    lower = -max(a, ZERO) - max(b, ZERO) + sum_min + part.loop_x + part.loop_y
-    upper = upper_bound_formula(g, x, y)
+    part, a, b, lower, upper = _formula_terms(g, x, y)
 
     if a >= 0:
         case = CASE_A_NONNEG

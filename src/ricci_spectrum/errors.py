@@ -45,7 +45,11 @@ class UnbalancedMeasures(RicciSpectrumError):
     """The two mass assignments do not both sum to one."""
 
 
-class CertificateGapNonzero(RicciSpectrumError):
+class InternalInconsistency(RicciSpectrumError):
+    """An exact consistency check failed: a bug, not a property of the input."""
+
+
+class CertificateGapNonzero(InternalInconsistency):
     """Internal consistency failure: dual potential does not reach the primal cost."""
 
 

@@ -160,6 +160,7 @@ class WeightedGraph:
         return self._dist
 
     def is_connected(self) -> bool:
+        """True when every vertex is reachable from vertex 0."""
         return all(not math.isinf(d) for d in self.distance_matrix()[0])
 
 
@@ -205,7 +206,8 @@ def build_graph(edges: Iterable) -> WeightedGraph:
     u == v creates a loop, whose weight enters d_u once.
 
     Raises NonPositiveWeight, DuplicateEdge, or EmptyGraph.  Connectivity is
-    *not* required here; callers that need it use :func:`validate_connected`.
+    *not* required here; callers that need it use
+    :meth:`WeightedGraph.is_connected`.
     """
     seen = set()
     triples = []
@@ -245,16 +247,6 @@ def build_graph(edges: Iterable) -> WeightedGraph:
             f"no edges touch {missing} (relabel the input)"
         )
     return WeightedGraph(adjacency)
-
-
-def hop_distance(g: WeightedGraph, x: int, y: int):
-    """Number of edges on a shortest x-y path; UNREACHABLE across components."""
-    return g.distance(x, y)
-
-
-def validate_connected(g: WeightedGraph) -> bool:
-    """True when every vertex is reachable from vertex 0."""
-    return g.is_connected()
 
 
 def is_bipartite(g: WeightedGraph):

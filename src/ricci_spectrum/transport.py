@@ -7,8 +7,10 @@ marginals are mu and column marginals nu, with cost d(u, v) per unit mass:
 
 Supports here are tiny (at most a vertex neighborhood), so the minimum is
 found by a transportation simplex run entirely in rational arithmetic:
-northwest-corner start, tree potentials, Bland's smallest-index pivoting
-(which also rules out cycling on degenerate bases).  Hop distances are
+northwest-corner start, Bland's smallest-index pivoting (which also rules
+out cycling on degenerate bases), and one walk of the basis tree per pivot
+that yields both the potentials and the parent links along which the
+entering cell's cycle is found.  Hop distances are
 integers, so every pivot and the optimum stay exact.
 
 The same solve yields optimal dual variables, which are tightened over the
@@ -75,6 +77,22 @@ def _cost_matrix(metric: Metric, sources, sinks):
     return cost
 
 
+def _problem(metric: Metric, mu, nu):
+    """Supports, cost matrix, supply and demand of the transportation problem."""
+    mu_items = _measure_items(mu)
+    nu_items = _measure_items(nu)
+    mu_total = sum(mu_items.values(), ZERO)
+    nu_total = sum(nu_items.values(), ZERO)
+    if mu_total != nu_total:
+        raise UnbalancedMeasures(f"total masses differ: {mu_total} vs {nu_total}")
+    sources = sorted(mu_items)
+    sinks = sorted(nu_items)
+    cost = _cost_matrix(metric, sources, sinks)
+    supply = [mu_items[s] for s in sources]
+    demand = [nu_items[t] for t in sinks]
+    return sources, sinks, cost, supply, demand
+
+
 def _northwest_corner(supply, demand):
     """Initial basic feasible solution with exactly m + n - 1 basis cells."""
     m, n = len(supply), len(demand)
@@ -98,71 +116,56 @@ def _northwest_corner(supply, demand):
     return flow, basis
 
 
-def _potentials(basis, cost, m, n):
-    """Solve u_i + v_j = c_ij over the basis tree (u_0 anchored at 0)."""
-    rows_to_cols = [[] for _ in range(m)]
-    cols_to_rows = [[] for _ in range(n)]
+def _basis_tree(basis, cost, m, n):
+    """One DFS of the basis tree from row 0.
+
+    Nodes are rows 0..m-1 and columns m..m+n-1.  Returns the potentials
+    (u, v) solving u_i + v_j = c_ij on the basis with u_0 = 0, and each
+    node's parent (None at the root) and depth in the tree.
+    """
+    adj = [[] for _ in range(m + n)]
     for i, j in basis:
-        rows_to_cols[i].append(j)
-        cols_to_rows[j].append(i)
-    u = [None] * m
-    v = [None] * n
-    u[0] = ZERO
-    stack = [("r", 0)]
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    pot = [None] * (m + n)
+    parent = [None] * (m + n)
+    depth = [0] * (m + n)
+    pot[0] = ZERO
+    stack = [0]
     while stack:
-        kind, k = stack.pop()
-        if kind == "r":
-            for j in rows_to_cols[k]:
-                if v[j] is None:
-                    v[j] = cost[k][j] - u[k]
-                    stack.append(("c", j))
-        else:
-            for i in cols_to_rows[k]:
-                if u[i] is None:
-                    u[i] = cost[i][k] - v[k]
-                    stack.append(("r", i))
-    return u, v
+        a = stack.pop()
+        for b in adj[a]:
+            if pot[b] is None:
+                pot[b] = (cost[a][b - m] if a < m else cost[b][a - m]) - pot[a]
+                parent[b] = a
+                depth[b] = depth[a] + 1
+                stack.append(b)
+    return pot[:m], pot[m:], parent, depth
 
 
-def _basis_cycle(basis, entering):
+def _basis_cycle(entering, parent, depth, m):
     """Alternating cycle the entering cell closes in the basis tree.
 
-    Returns the cycle as a cell list starting at the entering cell; cells at
-    odd positions lose flow when the entering cell gains.
+    Climbs parent links from row ei and column ej until they meet.  Returns
+    the cycle as a cell list starting at the entering cell and then running
+    from column ej to row ei; cells at odd positions lose flow when the
+    entering cell gains.
     """
     ei, ej = entering
-    rows_to_cols = {}
-    cols_to_rows = {}
-    for i, j in basis:
-        rows_to_cols.setdefault(i, []).append(j)
-        cols_to_rows.setdefault(j, []).append(i)
 
-    # BFS over basis cells from row ei to column ej
-    parents = {("r", ei): None}
-    queue = [("r", ei)]
-    while queue:
-        node = queue.pop(0)
-        kind, k = node
-        nxt = (
-            [("c", j) for j in rows_to_cols.get(k, [])]
-            if kind == "r"
-            else [("r", i) for i in cols_to_rows.get(k, [])]
-        )
-        for other in nxt:
-            if other not in parents:
-                parents[other] = node
-                queue.append(other)
-    path_nodes = []
-    node = ("c", ej)
-    while node is not None:
-        path_nodes.append(node)
-        node = parents[node]
-    # path_nodes runs col ej -> ... -> row ei; consecutive nodes are basis cells
-    cells = []
-    for a, b in zip(path_nodes, path_nodes[1:]):
-        (ka, xa), (kb, xb) = a, b
-        cells.append((xb, xa) if ka == "c" else (xa, xb))
-    return [entering] + cells
+    def cell(a, b):
+        return (a, b - m) if a < m else (b, a - m)
+
+    a, b = ei, m + ej
+    from_row, from_col = [], []
+    while a != b:
+        if depth[a] >= depth[b]:
+            from_row.append(cell(a, parent[a]))
+            a = parent[a]
+        else:
+            from_col.append(cell(b, parent[b]))
+            b = parent[b]
+    return [entering] + from_col + from_row[::-1]
 
 
 def _solve_transportation(cost, supply, demand):
@@ -174,7 +177,7 @@ def _solve_transportation(cost, supply, demand):
     m, n = len(supply), len(demand)
     flow, basis = _northwest_corner(supply, demand)
     while True:
-        u, v = _potentials(basis, cost, m, n)
+        u, v, parent, depth = _basis_tree(basis, cost, m, n)
         in_basis = set(basis)
         entering = None
         for i in range(m):
@@ -186,7 +189,7 @@ def _solve_transportation(cost, supply, demand):
                 break
         if entering is None:
             break
-        cycle = _basis_cycle(basis, entering)
+        cycle = _basis_cycle(entering, parent, depth, m)
         losers = cycle[1::2]
         theta = min(flow[c] for c in losers)
         leaving = min(c for c in losers if flow[c] == theta)
@@ -214,17 +217,7 @@ def wasserstein(metric: Metric, mu, nu) -> Tuple[Fraction, TransportPlan]:
     Returns the optimal cost and a plan with only its positive entries; the
     cost is unique even where the plan is not.
     """
-    mu_items = _measure_items(mu)
-    nu_items = _measure_items(nu)
-    if sum(mu_items.values(), ZERO) != sum(nu_items.values(), ZERO):
-        raise UnbalancedMeasures(
-            f"total masses differ: {sum(mu_items.values(), ZERO)} vs {sum(nu_items.values(), ZERO)}"
-        )
-    sources = sorted(mu_items)
-    sinks = sorted(nu_items)
-    cost = _cost_matrix(metric, sources, sinks)
-    supply = [mu_items[s] for s in sources]
-    demand = [nu_items[t] for t in sinks]
+    sources, sinks, cost, supply, demand = _problem(metric, mu, nu)
     total, flow, _, _ = _solve_transportation(cost, supply, demand)
     entries = {
         (sources[i], sinks[j]): q for (i, j), q in sorted(flow.items()) if q > 0
@@ -258,27 +251,17 @@ def dual_certificate(metric: Metric, mu, nu, primal_cost: Fraction) -> DualCerti
     over the metric: f(z) = min over sink atoms t of d(z, t) - v_t.  A
     minimum of 1-Lipschitz functions is 1-Lipschitz, f >= u on sources and
     f <= -v on sinks, so the dual gap closes exactly; any failure of the
-    final checks signals a solver bug (CertificateGapNonzero).
+    final checks signals a solver bug (CertificateGapNonzero).  Inputs are
+    validated as in wasserstein (UnbalancedMeasures, InfiniteDistance).
     """
-    mu_items = _measure_items(mu)
-    nu_items = _measure_items(nu)
-    sources = sorted(mu_items)
-    sinks = sorted(nu_items)
-    cost = _cost_matrix(metric, sources, sinks)
-    supply = [mu_items[s] for s in sources]
-    demand = [nu_items[t] for t in sinks]
+    sources, sinks, cost, supply, demand = _problem(metric, mu, nu)
     _, _, _, v = _solve_transportation(cost, supply, demand)
 
     union = sorted(set(sources) | set(sinks))
-    potential = {}
-    for z in union:
-        values = []
-        for j, t in enumerate(sinks):
-            d = metric(z, t)
-            if math.isinf(d):
-                raise InfiniteDistance(f"no path between support vertices {z} and {t}")
-            values.append(int(d) - v[j])
-        potential[z] = min(values)
+    potential = {
+        z: min(d - v_t for d, v_t in zip(row, v))
+        for z, row in zip(union, _cost_matrix(metric, union, sinks))
+    }
 
     for a in union:
         for b in union:
@@ -286,8 +269,8 @@ def dual_certificate(metric: Metric, mu, nu, primal_cost: Fraction) -> DualCerti
                 raise CertificateGapNonzero(
                     f"potential violates the Lipschitz bound on ({a}, {b})"
                 )
-    value = sum((potential[z] * mu_items.get(z, ZERO) for z in union), ZERO) - sum(
-        (potential[z] * nu_items.get(z, ZERO) for z in union), ZERO
+    value = sum((potential[s] * q for s, q in zip(sources, supply)), ZERO) - sum(
+        (potential[t] * q for t, q in zip(sinks, demand)), ZERO
     )
     if value != primal_cost:
         raise CertificateGapNonzero(f"dual value {value} != primal cost {primal_cost}")

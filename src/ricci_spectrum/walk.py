@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
-from .errors import LoopAlreadyPresent
+from .errors import InternalInconsistency, LoopAlreadyPresent
 from .graph import WeightedGraph, as_weight
 
 ZERO = Fraction(0)
@@ -78,17 +78,6 @@ class ProbMeasure:
         return f"ProbMeasure({{{inside}}})"
 
 
-class NeighborhoodGraph(WeightedGraph):
-    """A WeightedGraph built from t-step walk probabilities of a base graph."""
-
-    __slots__ = ("base", "t")
-
-    def __init__(self, adjacency, base: WeightedGraph, t: int):
-        super().__init__(adjacency)
-        self.base = base
-        self.t = t
-
-
 def one_step_measure(g: WeightedGraph, x: int) -> ProbMeasure:
     """m_x: mass w_xy/d_x on each neighbor y (x included iff it has a loop)."""
     dx = g.degree(x)
@@ -114,12 +103,12 @@ def _advance_reach(reach, step):
     return [set().union(*(step[z] for z in r)) if r else set() for r in reach]
 
 
-def neighborhood_graph(g: WeightedGraph, t: int) -> NeighborhoodGraph:
+def neighborhood_graph(g: WeightedGraph, t: int) -> WeightedGraph:
     """Build G[t] with w_xy[t] = (t-step probability x -> y) * d_x.
 
     The edge set is fixed by boolean reachability in exactly t steps; the
-    exact rational weights must agree with it and be symmetric, both of
-    which are asserted.  G[1] equals g (same weights).
+    exact rational weights must agree with it and be symmetric; either
+    failure raises InternalInconsistency.  G[1] equals g (same weights).
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
@@ -132,7 +121,8 @@ def neighborhood_graph(g: WeightedGraph, t: int) -> NeighborhoodGraph:
     adjacency = [dict() for _ in range(n)]
     for x in range(n):
         mu = t_step_measure(g, x, t)
-        assert set(mu.support) == reach[x], "walk support disagrees with reachability"
+        if set(mu.support) != reach[x]:
+            raise InternalInconsistency(f"walk support from {x} disagrees with reachability")
         dx = g.degree(x)
         for y, m in mu.items():
             w = m * dx
@@ -142,8 +132,9 @@ def neighborhood_graph(g: WeightedGraph, t: int) -> NeighborhoodGraph:
                     adjacency[y][x] = w
             else:
                 # reversibility: d_x * P^t(x, y) == d_y * P^t(y, x)
-                assert adjacency[y][x] == w, "t-step weights are not symmetric"
-    return NeighborhoodGraph(adjacency, base=g, t=t)
+                if adjacency[y].get(x) != w:
+                    raise InternalInconsistency(f"t-step weights of ({x}, {y}) are not symmetric")
+    return WeightedGraph(adjacency)
 
 
 def heat_kernel(g: WeightedGraph, t: int, x: int, y: int) -> Fraction:

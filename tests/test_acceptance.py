@@ -22,7 +22,6 @@ from ricci_spectrum import (
     sandwich_bounds,
     sharpness_case,
     spectrum,
-    validate_connected,
     verify_plan,
     verify_transfer_identity,
     wasserstein,
@@ -197,7 +196,7 @@ def test_criterion_9_structure_laws():
         for t in range(1, 7):
             if neighborhood_graph(g, t).degrees != g.degrees:
                 failures.append(f"{name} t={t} degrees")
-        if bipartite == validate_connected(neighborhood_graph(g, 2)):
+        if bipartite == neighborhood_graph(g, 2).is_connected():
             failures.append(f"{name} two-step connectivity")
         lam_max = spectrum(g).lambda_max
         if bipartite != (abs(lam_max - 2) < 1e-9):

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from ricci_spectrum import neighborhood_graph
+from ricci_spectrum import ProbMeasure, neighborhood_graph, walk
 from ricci_spectrum.cli import (
     EXIT_CONFIG,
     EXIT_GRAPH,
+    EXIT_INTERNAL,
     EXIT_OK,
     AnalysisConfig,
     format_edge_list,
@@ -157,3 +158,20 @@ def test_run_report_sections(tmp_path):
     assert set(report.sections) == {"spectrum", "curvature", "bounds", "audit"}
     assert report.summary["vertices"] == 3
     assert report.summary["bipartite"] is False
+
+
+def test_loop_only_graph_report_and_audit_are_inapplicable(tmp_path, capsys):
+    path = _write(tmp_path, "loop.edges", "a a\n")
+    for command in ("report", "audit"):
+        assert main([command, path, "--format", "json"]) == EXIT_OK
+        audit = json.loads(capsys.readouterr().out)["sections"]["audit"]
+        assert audit["contraction"]["k"] is None
+        assert audit["contraction"]["passed"] is None
+        assert audit["all_passed"] is True
+
+
+def test_walk_graph_inconsistency_exits_internal(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(walk, "t_step_measure", lambda g, x, t: ProbMeasure({x: 1}))
+    path = _write(tmp_path, "c5.edges", C5_TEXT)
+    assert main(["neighborhood", path, "--t", "2"]) == EXIT_INTERNAL
+    assert "reachability" in capsys.readouterr().err

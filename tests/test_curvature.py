@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ricci_spectrum import (
     build_graph,
@@ -186,3 +187,31 @@ def test_unweighted_terms_match_general_formula():
 def test_unweighted_terms_none_for_weighted():
     g = build_graph([(0, 1, 1), (1, 2, "1/2")])
     assert unweighted_terms(g, 0, 1) is None
+
+
+@st.composite
+def weighted_graphs_with_loops(draw):
+    """Connected graph on 2..7 vertices: a random tree plus extra edges and loops."""
+    n = draw(st.integers(2, 7))
+    weight = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+    edges = {}
+    for v in range(1, n):
+        edges[(draw(st.integers(0, v - 1)), v)] = draw(weight)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    for pair in extra:
+        edges[pair] = draw(weight)
+    for x in draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1)):
+        edges[(x, x)] = draw(weight)
+    return build_graph([(u, v, w) for (u, v), w in edges.items()])
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(weighted_graphs_with_loops())
+def test_formula_bounds_sandwich_kappa_property(g):
+    for x, y in _distinct_edges(g):
+        lower = lower_bound_formula(g, x, y)
+        upper = upper_bound_formula(g, x, y)
+        assert lower <= ricci_curvature(g, x, y).kappa <= upper
+        case = sharpness_case(g, x, y)
+        assert (case.lower_k, case.upper) == (lower, upper)

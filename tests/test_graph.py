@@ -6,11 +6,9 @@ import pytest
 from ricci_spectrum import (
     UNREACHABLE,
     build_graph,
-    hop_distance,
     is_bipartite,
     neighbor_partition,
     neighborhood_graph,
-    validate_connected,
 )
 from ricci_spectrum.errors import (
     DisconnectedGraph,
@@ -63,19 +61,19 @@ def test_weight_strings_parse_exactly():
 
 def test_hop_distance_pentagon():
     c5 = cycle_graph(5)
-    assert hop_distance(c5, 0, 2) == 2
-    assert all(hop_distance(c5, x, x) == 0 for x in c5.vertices())
+    assert c5.distance(0, 2) == 2
+    assert all(c5.distance(x, x) == 0 for x in c5.vertices())
 
 
 def test_loops_do_not_shorten_paths():
     g = build_graph([(0, 0, 5), (0, 1, 1), (1, 2, 1)])
-    assert hop_distance(g, 0, 2) == 2
+    assert g.distance(0, 2) == 2
 
 
 def test_unreachable_across_walk_components():
     c4_2 = neighborhood_graph(cycle_graph(4), 2)
-    assert hop_distance(c4_2, 0, 1) == UNREACHABLE
-    assert math.isinf(hop_distance(c4_2, 0, 1))
+    assert c4_2.distance(0, 1) == UNREACHABLE
+    assert math.isinf(c4_2.distance(0, 1))
 
 
 def test_bipartite_detection():
@@ -95,9 +93,9 @@ def test_bipartite_requires_connected():
 
 
 def test_validate_connected():
-    assert validate_connected(cycle_graph(5))
-    assert not validate_connected(build_graph([(0, 1, 1), (2, 3, 1)]))
-    assert not validate_connected(neighborhood_graph(cycle_graph(4), 2))
+    assert cycle_graph(5).is_connected()
+    assert not build_graph([(0, 1, 1), (2, 3, 1)]).is_connected()
+    assert not neighborhood_graph(cycle_graph(4), 2).is_connected()
 
 
 def test_partition_triangle_tie_goes_to_ge():

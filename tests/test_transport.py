@@ -1,11 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from ricci_spectrum import (
     TransportPlan,
     dual_certificate,
+    neighborhood_graph,
     one_step_measure,
     verify_plan,
     wasserstein,
@@ -16,6 +19,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     enumerate_transport_optimum,
+    full_corpus,
     random_corpus,
     random_measure,
 )
@@ -61,6 +65,9 @@ def test_unbalanced_rejected():
     c5 = cycle_graph(5)
     with pytest.raises(UnbalancedMeasures):
         wasserstein(c5.distance, {0: Fraction(1)}, {1: Fraction(1, 2)})
+    # an unbalanced pair must not get a certificate either
+    with pytest.raises(UnbalancedMeasures):
+        dual_certificate(c5.distance, {0: Fraction(1, 2)}, {1: Fraction(1)}, Fraction(1))
 
 
 def test_split_supports_rejected():
@@ -142,3 +149,40 @@ def test_cost_scales_linearly_with_the_metric():
         cost, _ = wasserstein(g.distance, mu, nu)
         doubled, _ = wasserstein(lambda u, v: 2 * g.distance(u, v), mu, nu)
         assert doubled == 2 * cost
+
+
+def _network_simplex_cost(metric, mu, nu):
+    """W_1 from networkx's network simplex on the measures scaled to integers."""
+    scale = math.lcm(*(m.denominator for m in [*mu.values(), *nu.values()]))
+    flow = nx.DiGraph()
+    for u, m in mu.items():
+        flow.add_node(("s", u), demand=-int(m * scale))
+    for v, m in nu.items():
+        flow.add_node(("t", v), demand=int(m * scale))
+    for u in mu:
+        for v in nu:
+            flow.add_edge(("s", u), ("t", v), weight=int(metric(u, v)))
+    cost, _ = nx.network_simplex(flow)
+    return Fraction(cost, scale)
+
+
+def test_walk_graph_edges_match_network_simplex():
+    # G[2] and G[3] are dense, so their one-step measures span most of the
+    # graph and the simplex needs many pivots
+    solves = 0
+    for _, g in full_corpus():
+        if g.n_vertices < 6:
+            continue
+        for t in (2, 3):
+            gt = neighborhood_graph(g, t)
+            for u, v, _ in gt.edges():
+                if u == v:
+                    continue
+                mu = dict(one_step_measure(gt, u).items())
+                nu = dict(one_step_measure(gt, v).items())
+                cost, plan = wasserstein(gt.distance, mu, nu)
+                assert cost == _network_simplex_cost(gt.distance, mu, nu)
+                assert verify_plan(plan, mu, nu, gt.distance)
+                dual_certificate(gt.distance, mu, nu, cost)  # raises on any gap
+                solves += 1
+    assert solves > 500

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +18,9 @@ from ricci_spectrum import (
     neighborhood_graph,
     one_step_measure,
     t_step_measure,
-    validate_connected,
 )
-from ricci_spectrum.errors import LoopAlreadyPresent
+from ricci_spectrum import walk
+from ricci_spectrum.errors import InternalInconsistency, LoopAlreadyPresent
 
 from conftest import (
     complete_graph,
@@ -133,18 +137,18 @@ def test_connectivity_transfer_laws():
             gt = neighborhood_graph(g, t)
             if bipartite:
                 if t % 2 == 0:
-                    assert not validate_connected(gt)
+                    assert not gt.is_connected()
                 else:
-                    assert validate_connected(gt)
+                    assert gt.is_connected()
                     assert is_bipartite(gt)[0]
             else:
-                assert validate_connected(gt)
+                assert gt.is_connected()
 
 
 def test_even_walk_graph_never_bipartite():
     for _, g in full_corpus()[:20]:
         gt = neighborhood_graph(g, 2)
-        if validate_connected(gt):
+        if gt.is_connected():
             assert is_bipartite(gt)[0] is False
         else:
             # every vertex carries a loop, an odd closed walk per component
@@ -221,3 +225,42 @@ def test_first_complete_t_matches_boolean_oracle():
                 expected = t
                 break
         assert first_complete_t(g, 12) == expected
+
+
+def _support_fault(g, x, t):
+    """Stays put: for t >= 2 on a cycle the support misses reachable vertices."""
+    return ProbMeasure({x: 1})
+
+
+def _symmetry_fault(g, x, t):
+    """Right support, but half the mass on its smallest vertex: not reversible."""
+    support = t_step_measure(g, x, t).support
+    rest = Fraction(1, 2 * (len(support) - 1))
+    return ProbMeasure({y: Fraction(1, 2) if y == support[0] else rest for y in support})
+
+
+FAULTS = {"support": _support_fault, "symmetry": _symmetry_fault}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_walk_graph_consistency_checks_raise(fault, monkeypatch):
+    monkeypatch.setattr(walk, "t_step_measure", FAULTS[fault])
+    with pytest.raises(InternalInconsistency):
+        neighborhood_graph(cycle_graph(5), 2)
+
+
+def test_walk_graph_consistency_checks_survive_optimize():
+    # the same test under python -O, where assert statements are stripped
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        PYTEST_DISABLE_PLUGIN_AUTOLOAD="1",  # the test needs no plugin; they load slowly
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_walk_graph_consistency_checks_raise"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "2 passed" in result.stdout
