@@ -72,8 +72,8 @@ class AnalysisConfig:
     def validate(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if self.t < 1:
-            raise ValueError("--t must be >= 1")
+        if not 1 <= self.t <= 64:
+            raise ValueError("--t must lie in 1..64")
         if not 1 <= self.t_max <= 64:
             raise ValueError("--t-max must lie in 1..64")
         if self.tolerance <= 0:

@@ -6,12 +6,17 @@ marginals are mu and column marginals nu, with cost d(u, v) per unit mass:
     W_1(mu, nu) = min_xi  sum_{u, v} d(u, v) xi(u, v).
 
 Supports here are tiny (at most a vertex neighborhood), so the minimum is
-found by a transportation simplex run entirely in rational arithmetic:
-northwest-corner start, Bland's smallest-index pivoting (which also rules
-out cycling on degenerate bases), and one walk of the basis tree per pivot
-that yields both the potentials and the parent links along which the
-entering cell's cycle is found.  Hop distances are
-integers, so every pivot and the optimum stay exact.
+found by a transportation simplex: northwest-corner start, Bland's
+smallest-index pivoting (which also rules out cycling on degenerate bases),
+and one walk of the basis tree per pivot that yields both the potentials and
+the parent links along which the entering cell's cycle is found.
+
+The simplex runs on Python integers only.  Both measures are scaled once by
+the LCM of all their mass denominators, so supply and demand are integers;
+hop distances are integers, so the potentials are too.  Scaling every mass
+by one positive constant changes no pivot choice, so the plan and the duals
+are those of the rational problem, and the cost, the plan entries and the
+dual gap are divided by the scale exactly once at the end.
 
 The same solve yields optimal dual variables, which are tightened over the
 metric into a single 1-Lipschitz potential f with
@@ -78,19 +83,29 @@ def _cost_matrix(metric: Metric, sources, sinks):
 
 
 def _problem(metric: Metric, mu, nu):
-    """Supports, cost matrix, supply and demand of the transportation problem."""
+    """Supports, cost matrix, integer supply and demand, and their scale.
+
+    Every mass q is scaled to the integer q * scale, where scale is the LCM
+    of all mass denominators of both measures.
+    """
     mu_items = _measure_items(mu)
     nu_items = _measure_items(nu)
-    mu_total = sum(mu_items.values(), ZERO)
-    nu_total = sum(nu_items.values(), ZERO)
-    if mu_total != nu_total:
-        raise UnbalancedMeasures(f"total masses differ: {mu_total} vs {nu_total}")
     sources = sorted(mu_items)
     sinks = sorted(nu_items)
+    masses = (*mu_items.values(), *nu_items.values())
+    scale = math.lcm(*(q.denominator for q in masses))
+
+    def scaled(items, support):
+        return [items[v].numerator * (scale // items[v].denominator) for v in support]
+
+    supply = scaled(mu_items, sources)
+    demand = scaled(nu_items, sinks)
+    if sum(supply) != sum(demand):
+        mu_total = Fraction(sum(supply), scale)
+        nu_total = Fraction(sum(demand), scale)
+        raise UnbalancedMeasures(f"total masses differ: {mu_total} vs {nu_total}")
     cost = _cost_matrix(metric, sources, sinks)
-    supply = [mu_items[s] for s in sources]
-    demand = [nu_items[t] for t in sinks]
-    return sources, sinks, cost, supply, demand
+    return sources, sinks, cost, supply, demand, scale
 
 
 def _northwest_corner(supply, demand):
@@ -130,7 +145,7 @@ def _basis_tree(basis, cost, m, n):
     pot = [None] * (m + n)
     parent = [None] * (m + n)
     depth = [0] * (m + n)
-    pot[0] = ZERO
+    pot[0] = 0
     stack = [0]
     while stack:
         a = stack.pop()
@@ -169,12 +184,15 @@ def _basis_cycle(entering, parent, depth, m):
 
 
 def _solve_transportation(cost, supply, demand):
-    """Minimize sum c_ij x_ij with given row/column sums; all exact.
+    """Minimize sum c_ij x_ij with given integer row/column sums.
 
-    Returns (total_cost, flow dict, u, v) where (u, v) are optimal duals
-    satisfying u_i + v_j <= c_ij with equality on the final basis.
+    Returns (total_cost, flow dict, u, v), all integers, where (u, v) are
+    optimal duals satisfying u_i + v_j <= c_ij with equality on the final
+    basis.  Empty supports (zero total mass) cost 0 with no flow.
     """
     m, n = len(supply), len(demand)
+    if m == 0:
+        return 0, {}, [], []
     flow, basis = _northwest_corner(supply, demand)
     while True:
         u, v, parent, depth = _basis_tree(basis, cost, m, n)
@@ -195,7 +213,7 @@ def _solve_transportation(cost, supply, demand):
         leaving = min(c for c in losers if flow[c] == theta)
         for idx, c in enumerate(cycle):
             if idx == 0:
-                flow[c] = flow.get(c, ZERO) + theta
+                flow[c] = flow.get(c, 0) + theta
             elif idx % 2 == 1:
                 flow[c] -= theta
             else:
@@ -204,7 +222,7 @@ def _solve_transportation(cost, supply, demand):
         basis.append(entering)
         del flow[leaving]
 
-    total = sum((flow[(i, j)] * cost[i][j] for i, j in flow), ZERO)
+    total = sum(flow[(i, j)] * cost[i][j] for i, j in flow)
     return total, flow, u, v
 
 
@@ -215,12 +233,16 @@ def wasserstein(metric: Metric, mu, nu) -> Tuple[Fraction, TransportPlan]:
     both must carry the same total mass (UnbalancedMeasures otherwise) and
     their supports must lie in one metric component (InfiniteDistance).
     Returns the optimal cost and a plan with only its positive entries; the
-    cost is unique even where the plan is not.
+    cost is unique even where the plan is not.  Two measures of zero total
+    mass cost 0 with an empty plan.
     """
-    sources, sinks, cost, supply, demand = _problem(metric, mu, nu)
+    sources, sinks, cost, supply, demand, scale = _problem(metric, mu, nu)
     total, flow, _, _ = _solve_transportation(cost, supply, demand)
+    total = Fraction(total, scale)
     entries = {
-        (sources[i], sinks[j]): q for (i, j), q in sorted(flow.items()) if q > 0
+        (sources[i], sinks[j]): Fraction(q, scale)
+        for (i, j), q in sorted(flow.items())
+        if q > 0
     }
     return total, TransportPlan(entries=entries, cost=total)
 
@@ -253,8 +275,10 @@ def dual_certificate(metric: Metric, mu, nu, primal_cost: Fraction) -> DualCerti
     f <= -v on sinks, so the dual gap closes exactly; any failure of the
     final checks signals a solver bug (CertificateGapNonzero).  Inputs are
     validated as in wasserstein (UnbalancedMeasures, InfiniteDistance).
+    Costs and duals are integers, so the potential is integer-valued; it is
+    empty when both measures have zero total mass.
     """
-    sources, sinks, cost, supply, demand = _problem(metric, mu, nu)
+    sources, sinks, cost, supply, demand, scale = _problem(metric, mu, nu)
     _, _, _, v = _solve_transportation(cost, supply, demand)
 
     union = sorted(set(sources) | set(sinks))
@@ -269,9 +293,11 @@ def dual_certificate(metric: Metric, mu, nu, primal_cost: Fraction) -> DualCerti
                 raise CertificateGapNonzero(
                     f"potential violates the Lipschitz bound on ({a}, {b})"
                 )
-    value = sum((potential[s] * q for s, q in zip(sources, supply)), ZERO) - sum(
-        (potential[t] * q for t, q in zip(sinks, demand)), ZERO
+    value = Fraction(
+        sum(potential[s] * q for s, q in zip(sources, supply))
+        - sum(potential[t] * q for t, q in zip(sinks, demand)),
+        scale,
     )
     if value != primal_cost:
         raise CertificateGapNonzero(f"dual value {value} != primal cost {primal_cost}")
-    return DualCertificate(potential=potential)
+    return DualCertificate(potential={z: Fraction(f) for z, f in potential.items()})

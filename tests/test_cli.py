@@ -133,6 +133,7 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["spectrum", duplicate]) == EXIT_GRAPH
     ok = _write(tmp_path, "ok.edges", "0 1\n")
     assert main(["spectrum", ok, "--t-max", "100"]) == EXIT_CONFIG
+    assert main(["neighborhood", ok, "--t", "65"]) == EXIT_CONFIG
     assert main(["spectrum", ok, "--tolerance", "-1"]) == EXIT_CONFIG
     capsys.readouterr()
 

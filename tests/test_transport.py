@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ricci_spectrum import (
     TransportPlan,
@@ -68,6 +69,15 @@ def test_unbalanced_rejected():
     # an unbalanced pair must not get a certificate either
     with pytest.raises(UnbalancedMeasures):
         dual_certificate(c5.distance, {0: Fraction(1, 2)}, {1: Fraction(1)}, Fraction(1))
+
+
+def test_zero_mass_measures_cost_nothing():
+    c5 = cycle_graph(5)
+    for mu, nu in (({}, {}), ({0: 0}, {1: 0})):
+        cost, plan = wasserstein(c5.distance, mu, nu)
+        assert cost == 0 and isinstance(cost, Fraction)
+        assert plan == TransportPlan(entries={}, cost=Fraction(0))
+        assert dual_certificate(c5.distance, mu, nu, cost).potential == {}
 
 
 def test_split_supports_rejected():
@@ -186,3 +196,50 @@ def test_walk_graph_edges_match_network_simplex():
                 dual_certificate(gt.distance, mu, nu, cost)  # raises on any gap
                 solves += 1
     assert solves > 500
+
+
+# distinct Mersenne primes: any two of them multiply to more than 2**64
+BIG_PRIMES = (2**31 - 1, 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1, 2**521 - 1)
+
+
+@st.composite
+def big_denominator_pairs(draw):
+    """Balanced plain mappings on <= 3 atoms each, total mass not 1.
+
+    Every mu atom has its own large prime denominator; nu spreads mu's total
+    over weights with further primes, so the LCM of all denominators is huge.
+    """
+    graphs = [g for _, g in full_corpus() if g.n_vertices >= 3]
+    g = draw(st.sampled_from(graphs))
+    vertices = sorted(g.vertices())
+    primes = draw(st.permutations(BIG_PRIMES))
+    sources = draw(st.lists(st.sampled_from(vertices), min_size=2, max_size=3, unique=True))
+    sinks = draw(st.lists(st.sampled_from(vertices), min_size=1, max_size=3, unique=True))
+    numerators = st.integers(1, 10**6)
+    mu = {v: Fraction(draw(numerators), p) for v, p in zip(sources, primes)}
+    weights = {v: Fraction(draw(numerators), p) for v, p in zip(sinks, primes[3:])}
+    total = sum(mu.values())
+    nu = {v: w * total / sum(weights.values()) for v, w in weights.items()}
+    return g, mu, nu
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(big_denominator_pairs())
+def test_integer_simplex_on_huge_denominators(instance):
+    g, mu, nu = instance
+    assert sum(mu.values()) != 1
+    assert math.lcm(*(q.denominator for q in [*mu.values(), *nu.values()])) > 2**64
+    cost, plan = wasserstein(g.distance, mu, nu)
+    assert cost == _network_simplex_cost(g.distance, mu, nu)
+    assert cost == enumerate_transport_optimum(g.distance, mu, nu)
+    reverse, _ = wasserstein(g.distance, nu, mu)
+    assert reverse == cost
+    assert verify_plan(plan, mu, nu, g.distance)
+    cert = dual_certificate(g.distance, mu, nu, cost)
+    dual_value = sum(cert.potential[v] * m for v, m in mu.items()) - sum(
+        cert.potential[v] * m for v, m in nu.items()
+    )
+    assert dual_value == cost
+    assert isinstance(cost, Fraction) and isinstance(plan.cost, Fraction)
+    assert all(isinstance(q, Fraction) for q in plan.entries.values())
+    assert all(isinstance(f, Fraction) for f in cert.potential.values())
