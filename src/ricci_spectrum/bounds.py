@@ -115,59 +115,52 @@ class KScanTable:
 
 def _signed_root(value: float, t: int) -> float:
     """Real t-th root; for odd t defined for negative values as well."""
-    if t % 2 == 0:
-        if value < 0:
-            raise InvalidBoundInput(f"even-order root of negative value {value}")
-        return value ** (1.0 / t)
+    if t % 2 == 0 and value < 0:
+        raise InvalidBoundInput(f"even-order root of negative value {value}")
     return math.copysign(abs(value) ** (1.0 / t), value)
+
+
+def _holds(lowest: float, highest: float, lower, upper) -> bool:
+    """lower <= lowest and highest <= upper within BOUND_SLACK; None skips a side."""
+    return (lower is None or lowest >= lower - BOUND_SLACK) and (
+        upper is None or highest <= upper + BOUND_SLACK
+    )
+
+
+def _one_step(g: WeightedGraph, name: str, lower_side: bool) -> BoundReport:
+    """lambda_1 >= k (lower_side) or lambda_max <= 2 - k, k the exact infimum."""
+    k = global_lower_bound(g, "exact")
+    if k is None:
+        return BoundReport(
+            name=name, t=None, inputs={}, lower=None,
+            upper=None, applicable=False,
+            reason="no adjacent distinct pairs", verified=None,
+        )
+    spec = spectrum(g)
+    lower, upper = (float(k), None) if lower_side else (None, float(2 - k))
+    return BoundReport(
+        name=name,
+        t=None,
+        inputs={"k": k},
+        lower=lower,
+        upper=upper,
+        applicable=True,
+        reason="curvature infimum over adjacent pairs",
+        verified=_holds(spec.lambda_1, spec.lambda_max, lower, upper),
+        details=(
+            {"lambda_1": spec.lambda_1} if lower_side else {"lambda_max": spec.lambda_max}
+        ),
+    )
 
 
 def ollivier_lower(g: WeightedGraph) -> BoundReport:
     """lambda_1 >= k for the exact curvature infimum k over adjacent pairs."""
-    k = global_lower_bound(g, "exact")
-    if k is None:
-        return BoundReport(
-            name="spectral_gap_from_curvature", t=None, inputs={}, lower=None,
-            upper=None, applicable=False,
-            reason="no adjacent distinct pairs", verified=None,
-        )
-    spec = spectrum(g)
-    lower = float(k)
-    return BoundReport(
-        name="spectral_gap_from_curvature",
-        t=None,
-        inputs={"k": k},
-        lower=lower,
-        upper=None,
-        applicable=True,
-        reason="curvature infimum over adjacent pairs",
-        verified=spec.lambda_1 >= lower - BOUND_SLACK,
-        details={"lambda_1": spec.lambda_1},
-    )
+    return _one_step(g, "spectral_gap_from_curvature", True)
 
 
 def largest_upper(g: WeightedGraph) -> BoundReport:
     """lambda_max <= 2 - k for the exact curvature infimum k."""
-    k = global_lower_bound(g, "exact")
-    if k is None:
-        return BoundReport(
-            name="largest_eigenvalue_from_curvature", t=None, inputs={}, lower=None,
-            upper=None, applicable=False,
-            reason="no adjacent distinct pairs", verified=None,
-        )
-    spec = spectrum(g)
-    upper = float(2 - k)
-    return BoundReport(
-        name="largest_eigenvalue_from_curvature",
-        t=None,
-        inputs={"k": k},
-        lower=None,
-        upper=upper,
-        applicable=True,
-        reason="curvature infimum over adjacent pairs",
-        verified=spec.lambda_max <= upper + BOUND_SLACK,
-        details={"lambda_max": spec.lambda_max},
-    )
+    return _one_step(g, "largest_eigenvalue_from_curvature", False)
 
 
 def _sandwich_check(g: WeightedGraph, t: int, lower: float, upper: float):
@@ -179,7 +172,7 @@ def _sandwich_check(g: WeightedGraph, t: int, lower: float, upper: float):
             skipped += 1
             continue
         checked.append(float(lam))
-    ok = all(lower - BOUND_SLACK <= lam <= upper + BOUND_SLACK for lam in checked)
+    ok = not checked or _holds(checked[0], checked[-1], lower, upper)
     return ok, checked, skipped
 
 
@@ -205,7 +198,7 @@ def sandwich_bounds(g: WeightedGraph, t: int) -> BoundReport:
             details={"component_restricted": restricted},
         )
     k_t_formula = global_lower_bound(gt, "formula")
-    root = float(1 - k_t) ** (1.0 / t)
+    root = _signed_root(float(1 - k_t), t)
     lower, upper = 1.0 - root, 1.0 + root
     ok, checked, skipped = _sandwich_check(g, t, lower, upper)
     return BoundReport(
@@ -249,6 +242,8 @@ def transfer_bounds(
         raise InvalidBoundInput(f"t must be >= 1, got {t}")
     if a_t is None and b_t is None:
         raise InvalidBoundInput("need at least one of a_t, b_t")
+    if any(v is not None and math.isnan(v) for v in (a_t, b_t)):
+        raise InvalidBoundInput(f"a_t = {a_t}, b_t = {b_t}: a NaN bound claims nothing")
     even = t % 2 == 0
     details: dict = {}
     inputs: dict = {}
@@ -287,11 +282,7 @@ def transfer_bounds(
             f"claims are jointly impossible: derived lower {lower} > upper {upper}"
         )
     spec = spectrum(g)
-    ok = True
-    if lower is not None:
-        ok &= spec.lambda_1 >= lower - BOUND_SLACK
-    if upper is not None:
-        ok &= spec.lambda_max <= upper + BOUND_SLACK
+    ok = _holds(spec.lambda_1, spec.lambda_max, lower, upper)
     if gap is not None:
         lo, hi = gap
         ok &= all(
@@ -370,11 +361,7 @@ def joint_neighbor_bounds(g: WeightedGraph) -> BoundReport:
         lower = float(exact_lower)
     applicable = upper is not None or lower is not None
     if applicable:
-        verified = True
-        if upper is not None:
-            verified &= spec.lambda_max <= upper + BOUND_SLACK
-        if lower is not None:
-            verified &= spec.lambda_max >= lower - BOUND_SLACK
+        verified = _holds(spec.lambda_max, spec.lambda_max, lower, upper)
     reason = (
         "edge-set inclusion with the walk graph"
         if applicable

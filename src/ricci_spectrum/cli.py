@@ -76,8 +76,8 @@ class AnalysisConfig:
             raise ValueError("--t must lie in 1..64")
         if not 1 <= self.t_max <= 64:
             raise ValueError("--t-max must lie in 1..64")
-        if self.tolerance <= 0:
-            raise ValueError("--tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("--tolerance must be finite and positive")
         if self.arithmetic not in ("exact", "float"):
             raise ValueError(f"unknown arithmetic mode {self.arithmetic!r}")
         if self.output_format not in ("table", "json"):
@@ -158,13 +158,7 @@ def _canonical(value, arithmetic: str):
 
 
 def report_to_json(report: Report, arithmetic: str) -> str:
-    payload = {
-        "summary": _canonical(report.summary, arithmetic),
-        "sections": _canonical(report.sections, arithmetic),
-        "version": report.version,
-        "config": _canonical(report.config, arithmetic),
-    }
-    return json.dumps(payload, sort_keys=True, indent=2)
+    return json.dumps(_canonical(report, arithmetic), sort_keys=True, indent=2)
 
 
 def _walk_lines(value, indent=0, key=None):
@@ -252,11 +246,7 @@ def _bounds_section(g: WeightedGraph, t_max: int) -> dict:
         "spectral_gap": ollivier_lower(g),
         "largest_eigenvalue": largest_upper(g),
         "joint_neighbors": joint_neighbor_bounds(g),
-        "k_scan": {
-            "rows": list(table.rows),
-            "best_lower_t": table.best_lower_t,
-            "best_upper_t": table.best_upper_t,
-        },
+        "k_scan": table,
     }
 
 

@@ -250,28 +250,18 @@ def build_graph(edges: Iterable) -> WeightedGraph:
 
 
 def is_bipartite(g: WeightedGraph):
-    """Two-color a connected graph by BFS.
+    """Two-color a connected graph by the parity of the hop distance from 0.
 
     Returns (True, coloring) with coloring[x] in {0, 1}, or (False, None)
-    when an odd cycle exists.  A loop is an odd closed walk, so any loop
-    makes the graph non-bipartite.  Raises DisconnectedGraph.
+    when an edge joins two equal colors.  A loop joins a vertex to itself,
+    so any loop makes the graph non-bipartite.  Raises DisconnectedGraph.
     """
     if not g.is_connected():
         raise DisconnectedGraph("two-coloring is only defined per component")
-    if any(g.has_loop(x) for x in g.vertices()):
+    color = tuple(d % 2 for d in g.distance_matrix()[0])
+    if any(color[u] == color[v] for u, v, _ in g.edges()):
         return False, None
-    color = [-1] * g.n_vertices
-    color[0] = 0
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in g.neighbors(u):
-            if color[v] == -1:
-                color[v] = 1 - color[u]
-                queue.append(v)
-            elif color[v] == color[u]:
-                return False, None
-    return True, tuple(color)
+    return True, color
 
 
 def neighbor_partition(g: WeightedGraph, x: int, y: int) -> NeighborhoodPartition:

@@ -96,6 +96,15 @@ def verify_transfer_identity(g: WeightedGraph, t: int) -> float:
     return float(np.max(np.abs(direct - mapped)))
 
 
+def _dirichlet_form(g: WeightedGraph, u: np.ndarray) -> float:
+    """sum_{x,y} w_xy (u(x) - u(y))^2 over ordered pairs; loops drop out."""
+    total = 0.0
+    for a, b, w in g.edges():
+        if a != b:
+            total += 2.0 * float(w) * (u[a] - u[b]) ** 2
+    return total
+
+
 def rayleigh_ratio(g: WeightedGraph, u: np.ndarray, lam: float) -> float:
     """Ratio of the walk-squared Dirichlet forms, equal to 2 - lambda.
 
@@ -105,15 +114,8 @@ def rayleigh_ratio(g: WeightedGraph, u: np.ndarray, lam: float) -> float:
 
     Loops drop out of both sums.  Raises ZeroDenominator when u is constant.
     """
-    g2 = neighborhood_graph(g, 2)
-    num = 0.0
-    den = 0.0
-    for a, b, w in g2.edges():
-        if a != b:
-            num += 2.0 * float(w) * (u[a] - u[b]) ** 2
-    for a, b, w in g.edges():
-        if a != b:
-            den += 2.0 * float(w) * (u[a] - u[b]) ** 2
+    num = _dirichlet_form(neighborhood_graph(g, 2), u)
+    den = _dirichlet_form(g, u)
     if den == 0.0:
         raise ZeroDenominator("eigenfunction is constant on every edge")
     return num / den

@@ -196,11 +196,11 @@ def _solve_transportation(cost, supply, demand):
     flow, basis = _northwest_corner(supply, demand)
     while True:
         u, v, parent, depth = _basis_tree(basis, cost, m, n)
-        in_basis = set(basis)
+        # basis cells have reduced cost exactly 0, so only a nonbasic cell can enter
         entering = None
         for i in range(m):
             for j in range(n):
-                if (i, j) not in in_basis and cost[i][j] - u[i] - v[j] < 0:
+                if cost[i][j] - u[i] - v[j] < 0:
                     entering = (i, j)
                     break
             if entering:

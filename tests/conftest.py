@@ -5,6 +5,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+from hypothesis import strategies as st
+
 from ricci_spectrum import build_graph, lazy_graph
 
 CORPUS_SEED = 174
@@ -68,6 +70,27 @@ def random_connected_graph(rng):
         if rng.random() < 0.25:
             edges.append((v, v, weight()))
     return build_graph(edges)
+
+
+@st.composite
+def weighted_graphs(draw, loops=True):
+    """Connected graph on 2..7 vertices: a random tree plus extra edges.
+
+    With ``loops`` at least one vertex also carries a loop.
+    """
+    n = draw(st.integers(2, 7))
+    weight = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+    edges = {}
+    for v in range(1, n):
+        edges[(draw(st.integers(0, v - 1)), v)] = draw(weight)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    for pair in extra:
+        edges[pair] = draw(weight)
+    if loops:
+        for x in draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1)):
+            edges[(x, x)] = draw(weight)
+    return build_graph([(u, v, w) for (u, v), w in edges.items()])
 
 
 @lru_cache(maxsize=None)

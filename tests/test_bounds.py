@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from ricci_spectrum import (
     contraction_audit,
@@ -27,6 +28,7 @@ from conftest import (
     full_corpus,
     lazy_complete,
     petersen_graph,
+    weighted_graphs,
 )
 
 
@@ -145,6 +147,10 @@ def test_transfer_invalid_inputs():
         transfer_bounds(c5, 0.5, None, 0)
     with pytest.raises(InvalidBoundInput):
         transfer_bounds(c5, 0.9, 0.05, 3)  # jointly impossible claims
+    with pytest.raises(InvalidBoundInput):
+        transfer_bounds(c5, float("nan"), None, 3)
+    with pytest.raises(InvalidBoundInput):
+        transfer_bounds(c5, None, float("nan"), 3)
 
 
 def test_joint_neighbors_complete_graph_sharp():
@@ -275,3 +281,16 @@ def test_unweighted_regular_k_at_most_sharp_over_degree():
             count += int(g.has_loop(u)) + int(g.has_loop(v))
             sharp_min = count if sharp_min is None else min(sharp_min, count)
         assert global_lower_bound(g, "exact") <= Fraction(sharp_min) / d
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(weighted_graphs())
+def test_one_step_and_sandwich_bounds_hold_property(g):
+    gap, largest = ollivier_lower(g), largest_upper(g)
+    sandwiches = [sandwich_bounds(g, t) for t in (1, 2, 3)]
+    for report in [gap, largest] + sandwiches:
+        assert report.verified is (True if report.applicable else None)
+    if gap.applicable:
+        # G[1] = g, so the t = 1 sandwich is the one-step pair k <= lambda, lambda <= 2 - k
+        assert abs(sandwiches[0].lower - gap.lower) <= 1e-12
+        assert abs(sandwiches[0].upper - largest.upper) <= 1e-12

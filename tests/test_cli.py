@@ -135,6 +135,8 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["spectrum", ok, "--t-max", "100"]) == EXIT_CONFIG
     assert main(["neighborhood", ok, "--t", "65"]) == EXIT_CONFIG
     assert main(["spectrum", ok, "--tolerance", "-1"]) == EXIT_CONFIG
+    assert main(["audit", ok, "--tolerance", "nan"]) == EXIT_CONFIG
+    assert main(["audit", ok, "--tolerance", "inf"]) == EXIT_CONFIG
     capsys.readouterr()
 
 

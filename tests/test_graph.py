@@ -1,7 +1,9 @@
 import math
 from fractions import Fraction
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
 
 from ricci_spectrum import (
     UNREACHABLE,
@@ -19,7 +21,13 @@ from ricci_spectrum.errors import (
     SameVertex,
 )
 
-from conftest import complete_graph, cycle_graph, full_corpus, petersen_graph
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    full_corpus,
+    petersen_graph,
+    weighted_graphs,
+)
 
 
 def test_cycle_degrees():
@@ -84,6 +92,18 @@ def test_bipartite_detection():
     ok, coloring = is_bipartite(cycle_graph(6))
     assert ok
     assert all(coloring[i] != coloring[(i + 1) % 6] for i in range(6))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(weighted_graphs(loops=False))
+def test_is_bipartite_matches_networkx_property(g):
+    ok, coloring = is_bipartite(g)
+    assert ok == nx.is_bipartite(nx.Graph([(u, v) for u, v, _ in g.edges()]))
+    if ok:
+        assert set(coloring) <= {0, 1}
+        assert all(coloring[u] != coloring[v] for u, v, _ in g.edges())
+    else:
+        assert coloring is None
 
 
 def test_bipartite_requires_connected():
