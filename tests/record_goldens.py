@@ -1,0 +1,63 @@
+"""Record tests/goldens/: the report JSON of a fixed graph corpus.
+
+    python3 tests/record_goldens.py
+
+Writes ``<name>.edges`` (the input, in the edge-list dialect) and
+``<name>.json`` (the stdout of ``report --format json --t-max 5`` run from
+the repository root on ``tests/goldens/<name>.edges``) for every graph of
+GOLDEN_GRAPHS.  tests/test_goldens.py compares the program against them.
+Regenerate them only when an output is meant to change, and say which one
+and why.
+"""
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDENS = ROOT / "tests" / "goldens"
+ARGS = ("report", "--format", "json", "--t-max", "5")
+
+#: Members of conftest.random_corpus() recorded next to the named corpus.
+RANDOM_PICKS = (0, 1, 2, 3)
+
+
+def golden_inputs() -> dict:
+    """Name -> edge-list text of every graph in the golden corpus."""
+    from conftest import named_corpus, random_corpus
+    from ricci_spectrum.cli import format_edge_list
+
+    graphs = named_corpus() + [random_corpus()[i] for i in RANDOM_PICKS]
+    texts = {name: format_edge_list(g, [str(v) for v in g.vertices()]) for name, g in graphs}
+    texts["loop_only"] = "a a\n"
+    return texts
+
+
+def input_path(name: str) -> str:
+    """The relative path each report is run on; the report echoes it."""
+    return f"tests/goldens/{name}.edges"
+
+
+def main() -> int:
+    os.chdir(ROOT)
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from ricci_spectrum.cli import main as cli_main
+
+    GOLDENS.mkdir(exist_ok=True)
+    for name, text in golden_inputs().items():
+        (GOLDENS / f"{name}.edges").write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main([ARGS[0], input_path(name), *ARGS[1:]])
+        if code != 0:
+            print(f"{name}: exit code {code}", file=sys.stderr)
+            return 1
+        (GOLDENS / f"{name}.json").write_text(out.getvalue(), encoding="utf-8")
+        print(f"{name}: recorded")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
