@@ -18,9 +18,9 @@ from ricci_spectrum import (
     ollivier_lower,
     one_step_measure,
     ricci_curvature,
-    spectrum,
     upper_bound_formula,
 )
+from ricci_spectrum.spectrum import spectrum
 
 
 def complete(n):

@@ -14,8 +14,8 @@ from ricci_spectrum import (
     neighborhood_graph,
     ollivier_lower,
     ricci_curvature,
-    spectrum,
 )
+from ricci_spectrum.spectrum import spectrum
 
 pentagon = build_graph([(i, (i + 1) % 5, 1) for i in range(5)])
 

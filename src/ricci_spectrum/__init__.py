@@ -12,7 +12,7 @@ Main entry points:
 * wasserstein, dual_certificate, verify_plan  (transport)
 * ricci_curvature, lower_bound_formula, upper_bound_formula,
   global_lower_bound, sharpness_case  (curvature)
-* spectrum, eigenpairs, verify_transfer_identity, rayleigh_ratio  (spectrum)
+* spectrum.spectrum, eigenpairs, verify_transfer_identity, rayleigh_ratio  (spectrum)
 * ollivier_lower, largest_upper, sandwich_bounds, transfer_bounds,
   joint_neighbor_bounds, contraction_audit, metric_audit,
   curvature_transfer_check, k_scan  (bounds)
@@ -60,7 +60,6 @@ from .spectrum import (
     eigenpairs,
     laplacian_apply,
     rayleigh_ratio,
-    spectrum,
     verify_transfer_identity,
 )
 from .bounds import (
@@ -112,7 +111,6 @@ __all__ = [
     "unweighted_terms",
     "Spectrum",
     "EigenPair",
-    "spectrum",
     "eigenpairs",
     "laplacian_apply",
     "verify_transfer_identity",

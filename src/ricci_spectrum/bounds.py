@@ -281,6 +281,12 @@ def transfer_bounds(
         raise InvalidBoundInput(
             f"claims are jointly impossible: derived lower {lower} > upper {upper}"
         )
+    if g.n_vertices == 1:
+        return BoundReport(
+            name="spectral_transfer", t=t, inputs=inputs, lower=None, upper=None,
+            applicable=False, reason="one vertex: no eigenvalue besides lambda_0",
+            verified=None,
+        )
     spec = spectrum(g)
     ok = _holds(spec.lambda_1, spec.lambda_max, lower, upper)
     if gap is not None:

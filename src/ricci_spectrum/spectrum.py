@@ -30,7 +30,6 @@ class Spectrum:
     """Sorted eigenvalues of the normalized Laplacian."""
 
     eigenvalues: np.ndarray
-    n: int
 
     @property
     def lambda_1(self) -> float:
@@ -61,7 +60,7 @@ def _symmetric_conjugate(g: WeightedGraph) -> np.ndarray:
 def spectrum(g: WeightedGraph) -> Spectrum:
     """Eigenvalues of Delta, ascending (float64, LAPACK symmetric solver)."""
     vals = np.linalg.eigvalsh(_symmetric_conjugate(g))
-    return Spectrum(eigenvalues=np.sort(1.0 - vals), n=g.n_vertices)
+    return Spectrum(eigenvalues=np.sort(1.0 - vals))
 
 
 def eigenpairs(g: WeightedGraph) -> List[EigenPair]:
@@ -105,7 +104,7 @@ def _dirichlet_form(g: WeightedGraph, u: np.ndarray) -> float:
     return total
 
 
-def rayleigh_ratio(g: WeightedGraph, u: np.ndarray, lam: float) -> float:
+def rayleigh_ratio(g: WeightedGraph, u: np.ndarray) -> float:
     """Ratio of the walk-squared Dirichlet forms, equal to 2 - lambda.
 
     For an eigenpair (u, lambda) with lambda != 0:

@@ -3,7 +3,7 @@
 The one-step walk from x lands on y with probability m_x(y) = w_xy/d_x.
 Pushing a measure through one step is mu P(y) = sum_x mu(x) m_x(y); t-step
 distributions are t successive exact pushforwards (kept as Fractions, so the
-support is exact as well).
+support is exact as well).  ``_step`` is the one implementation of P.
 
 The t-th neighborhood graph G[t] keeps the vertex set and sets
 w_xy[t] = (t-step probability x -> y) * d_x.  Degrees are preserved
@@ -14,8 +14,8 @@ than from the arithmetic.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
+from itertools import islice
 from typing import Mapping, Optional
 
 from .errors import InternalInconsistency, LoopAlreadyPresent
@@ -51,19 +51,12 @@ class ProbMeasure:
     def mass(self, v: int) -> Fraction:
         return self._mass.get(v, ZERO)
 
-    __getitem__ = mass
-
     def items(self):
         return self._mass.items()
 
     def pushforward(self, g: WeightedGraph) -> "ProbMeasure":
         """One walk step: (mu P)(y) = sum_x mu(x) w_xy / d_x."""
-        out = defaultdict(lambda: ZERO)
-        for v, m in self._mass.items():
-            dv = g.degree(v)
-            for y, w in g.neighbor_items(v):
-                out[y] += m * w / dv
-        return ProbMeasure(out)
+        return ProbMeasure(_step(g, self._mass))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProbMeasure):
@@ -78,29 +71,38 @@ class ProbMeasure:
         return f"ProbMeasure({{{inside}}})"
 
 
+def _step(g: WeightedGraph, mass: Mapping[int, Fraction]) -> dict:
+    """y -> sum_v mass(v) w_vy / d_v; keeps the total mass and every mass positive."""
+    out = {}
+    for v, m in mass.items():
+        share = m / g.degree(v)
+        for y, w in g.neighbor_items(v):
+            out[y] = out[y] + share * w if y in out else share * w
+    return out
+
+
 def one_step_measure(g: WeightedGraph, x: int) -> ProbMeasure:
     """m_x: mass w_xy/d_x on each neighbor y (x included iff it has a loop)."""
-    dx = g.degree(x)
-    return ProbMeasure({y: w / dx for y, w in g.neighbor_items(x)})
+    return ProbMeasure(_step(g, {x: 1}))
 
 
 def t_step_measure(g: WeightedGraph, x: int, t: int) -> ProbMeasure:
     """Distribution of a t-step walk from x, t >= 1, by exact pushforwards."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    mu = one_step_measure(g, x)
-    for _ in range(t - 1):
-        mu = mu.pushforward(g)
-    return mu
+    mass = {x: 1}
+    for _ in range(t):
+        mass = _step(g, mass)
+    return ProbMeasure(mass)
 
 
-def _reach_sets(g: WeightedGraph):
-    """Boolean one-step reachability (neighbor sets, loops included)."""
-    return [set(g.neighbors(x)) for x in g.vertices()]
-
-
-def _advance_reach(reach, step):
-    return [set().union(*(step[z] for z in r)) if r else set() for r in reach]
+def _reaches(g: WeightedGraph):
+    """For t = 1, 2, ...: per vertex x, the set of ends of the length-t walks from x."""
+    step = [set(g.neighbors(x)) for x in g.vertices()]
+    reach = step
+    while True:
+        yield reach
+        reach = [set().union(*(step[z] for z in r)) for r in reach]
 
 
 def neighborhood_graph(g: WeightedGraph, t: int) -> WeightedGraph:
@@ -112,29 +114,20 @@ def neighborhood_graph(g: WeightedGraph, t: int) -> WeightedGraph:
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    step = _reach_sets(g)
-    reach = step
-    for _ in range(t - 1):
-        reach = _advance_reach(reach, step)
-
-    n = g.n_vertices
-    adjacency = [dict() for _ in range(n)]
-    for x in range(n):
+    reach = next(islice(_reaches(g), t - 1, None))
+    rows = []
+    for x in g.vertices():
         mu = t_step_measure(g, x, t)
         if set(mu.support) != reach[x]:
             raise InternalInconsistency(f"walk support from {x} disagrees with reachability")
         dx = g.degree(x)
-        for y, m in mu.items():
-            w = m * dx
-            if y >= x:
-                adjacency[x][y] = w
-                if y != x:
-                    adjacency[y][x] = w
-            else:
-                # reversibility: d_x * P^t(x, y) == d_y * P^t(y, x)
-                if adjacency[y].get(x) != w:
-                    raise InternalInconsistency(f"t-step weights of ({x}, {y}) are not symmetric")
-    return WeightedGraph(adjacency)
+        rows.append({y: m * dx for y, m in mu.items()})
+    for x, row in enumerate(rows):
+        for y, w in row.items():
+            # reversibility: d_x * P^t(x, y) == d_y * P^t(y, x)
+            if rows[y].get(x) != w:
+                raise InternalInconsistency(f"t-step weights of ({x}, {y}) are not symmetric")
+    return WeightedGraph(rows)
 
 
 def heat_kernel(g: WeightedGraph, t: int, x: int, y: int) -> Fraction:
@@ -161,6 +154,8 @@ def lazy_graph(g: WeightedGraph, laziness) -> WeightedGraph:
 
     adjacency = [dict(g._adj[x]) for x in g.vertices()]
     for x, a in alpha.items():
+        if not (isinstance(x, int) and 0 <= x < g.n_vertices):
+            raise ValueError(f"laziness key {x!r} is not a vertex")
         if not 0 <= a < 1:
             raise ValueError(f"laziness at {x} must lie in [0, 1), got {a}")
         if a > 0:
@@ -176,10 +171,7 @@ def first_complete_t(g: WeightedGraph, t_max: int) -> Optional[int]:
     classes and return to the start for the same t).
     """
     n = g.n_vertices
-    step = _reach_sets(g)
-    reach = step
-    for t in range(1, t_max + 1):
+    for t, reach in zip(range(1, t_max + 1), _reaches(g)):
         if all(len(r) == n for r in reach):
             return t
-        reach = _advance_reach(reach, step)
     return None

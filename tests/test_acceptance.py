@@ -21,11 +21,11 @@ from ricci_spectrum import (
     ricci_curvature,
     sandwich_bounds,
     sharpness_case,
-    spectrum,
     verify_plan,
     verify_transfer_identity,
     wasserstein,
 )
+from ricci_spectrum.spectrum import spectrum
 
 from conftest import (
     complete_graph,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from ricci_spectrum import (
+    build_graph,
     contraction_audit,
     curvature_transfer_check,
     first_complete_t,
@@ -17,10 +18,10 @@ from ricci_spectrum import (
     neighborhood_graph,
     ollivier_lower,
     sandwich_bounds,
-    spectrum,
     transfer_bounds,
 )
 from ricci_spectrum.errors import InvalidBoundInput
+from ricci_spectrum.spectrum import spectrum
 
 from conftest import (
     complete_graph,
@@ -133,6 +134,16 @@ def test_transfer_odd_t_upper():
 def test_transfer_even_t_clamps_b():
     report = transfer_bounds(cycle_graph(5), None, 1.5, 2)
     assert report.details["b_clamped"]
+
+
+def test_transfer_one_vertex_inapplicable():
+    point = build_graph([(0, 0, 1)])
+    report = transfer_bounds(point, 0.5, None, 3)
+    assert not report.applicable
+    assert report.verified is None
+    assert (report.lower, report.upper) == (None, None)
+    with pytest.raises(InvalidBoundInput):
+        transfer_bounds(point, 0.5, None, 0)
 
 
 def test_transfer_invalid_inputs():

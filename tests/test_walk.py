@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from ricci_spectrum import (
     ProbMeasure,
@@ -28,6 +29,7 @@ from conftest import (
     full_corpus,
     lazy_complete,
     random_corpus,
+    weighted_graphs,
 )
 
 
@@ -90,6 +92,32 @@ def test_pentagon_walk_graph_weights():
         if u == v:
             continue
         assert w == (Fraction(1, 8) if c5.adjacent(u, v) else Fraction(1, 2))
+
+
+def _dense_transition_power(g, t):
+    """P^t as a dense Fraction matrix, P[x][y] = w_xy / d_x."""
+    n = g.n_vertices
+    p = [[g.weight(x, y) / g.degree(x) for y in range(n)] for x in range(n)]
+    power = p
+    for _ in range(t - 1):
+        power = [
+            [sum((power[x][z] * p[z][y] for z in range(n)), Fraction(0)) for y in range(n)]
+            for x in range(n)
+        ]
+    return power
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(weighted_graphs(loops=True))
+def test_walk_graph_weights_match_dense_matrix_power_property(g):
+    # w_xy[t] = d_x (P^t)_xy exactly; a zero entry is a missing edge
+    for t in (1, 2, 3):
+        gt = neighborhood_graph(g, t)
+        power = _dense_transition_power(g, t)
+        for x in g.vertices():
+            for y in g.vertices():
+                assert gt.weight(x, y) == g.degree(x) * power[x][y]
+                assert gt.adjacent(x, y) == (power[x][y] != 0)
 
 
 def test_order_one_walk_graph_is_the_graph():
@@ -201,6 +229,12 @@ def test_lazy_graph_rejects_bad_probability():
         lazy_graph(complete_graph(2), 1)
     with pytest.raises(ValueError):
         lazy_graph(complete_graph(2), Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("key", [-1, 5, "0"])
+def test_lazy_graph_rejects_keys_that_are_not_vertices(key):
+    with pytest.raises(ValueError):
+        lazy_graph(cycle_graph(5), {key: Fraction(1, 2)})
 
 
 def test_first_complete_t():
