@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from record_goldens import ARGS, GOLDENS, ROOT, input_path
+from record_goldens import ARGS, GOLDENS, ROOT, golden_inputs, input_path
 from ricci_spectrum.cli import EXIT_OK, main
 from ricci_spectrum.tolerances import EIGENVALUE_TOL
 
@@ -41,8 +41,9 @@ def _mismatch(got, want, where="$"):
 
 
 def test_golden_corpus_is_complete():
-    assert len(NAMES) == 14
-    assert all((GOLDENS / f"{name}.edges").is_file() for name in NAMES)
+    assert NAMES == sorted(golden_inputs())
+    for name, text in golden_inputs().items():
+        assert (GOLDENS / f"{name}.edges").read_text(encoding="utf-8") == text
 
 
 @pytest.mark.parametrize("name", NAMES)
