@@ -236,7 +236,7 @@ def _curvature_section(g: WeightedGraph, labels) -> dict:
     return {
         "edges": per_edge,
         "k_exact": global_lower_bound(g, "exact"),
-        "k_formula": global_lower_bound(g, "formula"),
+        "k_formula": min((entry["lower_formula"] for entry in per_edge), default=None),
     }
 
 

@@ -88,21 +88,15 @@ def ricci_curvature(g: WeightedGraph, x: int, y: int) -> CurvatureValue:
 def _formula_terms(g: WeightedGraph, x: int, y: int):
     """Partition, A, B and both closed-form bounds of an adjacent pair."""
     part = neighbor_partition(g, x, y)
-    dx, dy = g.degree(x), g.degree(y)
-    sum_min = ZERO
-    sum_max = ZERO
-    for z in part.n_xy:
-        mx = g.weight(x, z) / dx
-        my = g.weight(z, y) / dy
-        sum_min += min(mx, my)
-        sum_max += max(mx, my)
     shared = 1 - part.edge_mass_x - part.edge_mass_y
-    a = shared - sum_max
-    b = shared - sum_min
-    lower = -max(a, ZERO) - max(b, ZERO) + sum_min + part.loop_x + part.loop_y
+    a = shared - part.common_max
+    b = shared - part.common_min
+    lower = -max(a, ZERO) - max(b, ZERO) + part.common_min + part.loop_x + part.loop_y
     # the z = x and z = y terms of the upper bound's sum
     upper = (
-        min(part.loop_x, part.edge_mass_y) + min(part.edge_mass_x, part.loop_y) + sum_min
+        min(part.loop_x, part.edge_mass_y)
+        + min(part.edge_mass_x, part.loop_y)
+        + part.common_min
     )
     return part, a, b, lower, upper
 
@@ -115,10 +109,6 @@ def lower_bound_formula(g: WeightedGraph, x: int, y: int) -> Fraction:
 def upper_bound_formula(g: WeightedGraph, x: int, y: int) -> Fraction:
     """Mass of m_x that need not move: an upper bound for kappa(x, y)."""
     return _formula_terms(g, x, y)[4]
-
-
-def _no_edge_between(g, left, right) -> bool:
-    return not any(g.adjacent(s, t) for s in left for t in right)
 
 
 def _min_distance_at_least(g, left, right, bound) -> bool:
@@ -143,14 +133,14 @@ def sharpness_case(g: WeightedGraph, x: int, y: int) -> BoundFormulaResult:
     if a >= 0:
         case = CASE_A_NONNEG
         conditions = (
-            _no_edge_between(g, part.n_x1, part.n_x_lt_y)
-            and _no_edge_between(g, part.n_y1, part.n_x_ge_y)
+            _min_distance_at_least(g, part.n_x1, part.n_x_lt_y, 2)
+            and _min_distance_at_least(g, part.n_y1, part.n_x_ge_y, 2)
             and _min_distance_at_least(g, part.n_x1, part.n_y1, 3)
         )
     elif b >= 0:
         case = CASE_A_NEG_B_NONNEG
-        conditions = _no_edge_between(
-            g, part.n_x1 | part.n_x_ge_y, part.n_y1 | part.n_x_lt_y
+        conditions = _min_distance_at_least(
+            g, part.n_x1 | part.n_x_ge_y, part.n_y1 | part.n_x_lt_y, 2
         )
     else:
         case = CASE_B_NEG
@@ -194,38 +184,23 @@ def global_lower_bound(g: WeightedGraph, method: str = "exact") -> Optional[Frac
 
 
 def unweighted_terms(g: WeightedGraph, x: int, y: int) -> Optional[dict]:
-    """Triangle/loop form of the lower bound on uniformly weighted graphs.
+    """Triangle and loop counts of an adjacent pair on a uniformly weighted graph.
 
-    When every edge carries one common weight, the bound depends only on the
-    neighbor counts n_x = d_x/w, the number of triangles sharing the edge,
-    and the loop indicators c(x), c(y):
+    When every edge carries one common weight, the lower bound depends only
+    on the neighbor counts n_x = d_x/w, the number tri of triangles sharing
+    the edge, and the loop indicators c(x), c(y):
 
         -max(1 - 1/n_x - 1/n_y - tri/min(n_x, n_y), 0)
         -max(1 - 1/n_x - 1/n_y - tri/max(n_x, n_y), 0)
         + tri/max(n_x, n_y) + c(x)/n_x + c(y)/n_y
 
-    Returns None for non-uniform graphs.
+    Returns {"triangles": tri, "loop_x": c(x), "loop_y": c(y)}, or None for
+    non-uniform graphs; :func:`lower_bound_formula` evaluates the bound.
     """
-    w = g.uniform_weight()
-    if w is None:
+    if g.uniform_weight() is None:
         return None
-    part = neighbor_partition(g, x, y)
-    tri = len(part.n_xy)
-    cx = 1 if g.has_loop(x) else 0
-    cy = 1 if g.has_loop(y) else 0
-    nx = g.degree(x) / w
-    ny = g.degree(y) / w
-    lo, hi = min(nx, ny), max(nx, ny)
-    value = (
-        -max(1 - 1 / nx - 1 / ny - Fraction(tri) / lo, ZERO)
-        - max(1 - 1 / nx - 1 / ny - Fraction(tri) / hi, ZERO)
-        + Fraction(tri) / hi
-        + Fraction(cx) / nx
-        + Fraction(cy) / ny
-    )
     return {
-        "triangles": tri,
-        "loop_x": cx,
-        "loop_y": cy,
-        "value": value,
+        "triangles": len(neighbor_partition(g, x, y).n_xy),
+        "loop_x": 1 if g.has_loop(x) else 0,
+        "loop_y": 1 if g.has_loop(y) else 0,
     }

@@ -175,8 +175,10 @@ class NeighborhoodPartition:
     * ``n_x_ge_y`` common neighbors z with w_xz/d_x >= w_zy/d_y,
     * ``n_x_lt_y`` common neighbors z with w_xz/d_x <  w_zy/d_y.
 
-    ``loop_x``/``loop_y`` are the loop masses w_xx/d_x and w_yy/d_y, and
-    ``edge_mass_x``/``edge_mass_y`` the cross masses w_xy/d_x and w_xy/d_y.
+    ``loop_x``/``loop_y`` are the loop masses w_xx/d_x and w_yy/d_y,
+    ``edge_mass_x``/``edge_mass_y`` the cross masses w_xy/d_x and w_xy/d_y,
+    and ``common_min``/``common_max`` the sums over common neighbors z of
+    min(w_xz/d_x, w_zy/d_y) and max(w_xz/d_x, w_zy/d_y).
     """
 
     x: int
@@ -189,6 +191,8 @@ class NeighborhoodPartition:
     loop_y: Fraction
     edge_mass_x: Fraction
     edge_mass_y: Fraction
+    common_min: Fraction
+    common_max: Fraction
 
     @property
     def n_xy(self) -> frozenset:
@@ -280,11 +284,12 @@ def neighbor_partition(g: WeightedGraph, x: int, y: int) -> NeighborhoodPartitio
     ny = set(g.neighbors(y)) - {x, y}
     common = nx & ny
     ge, lt = set(), set()
+    common_min = common_max = Fraction(0)
     for z in common:
-        if g.weight(x, z) / dx >= g.weight(z, y) / dy:
-            ge.add(z)
-        else:
-            lt.add(z)
+        mx, my = g.weight(x, z) / dx, g.weight(z, y) / dy
+        (ge if mx >= my else lt).add(z)
+        common_min += min(mx, my)
+        common_max += max(mx, my)
     return NeighborhoodPartition(
         x=x,
         y=y,
@@ -296,4 +301,6 @@ def neighbor_partition(g: WeightedGraph, x: int, y: int) -> NeighborhoodPartitio
         loop_y=g.loop_weight(y) / dy,
         edge_mass_x=g.weight(x, y) / dx,
         edge_mass_y=g.weight(x, y) / dy,
+        common_min=common_min,
+        common_max=common_max,
     )

@@ -177,12 +177,24 @@ def test_loop_free_reduction():
 
 def test_unweighted_terms_match_general_formula():
     for g in (cycle_graph(5), complete_graph(5), lazy_complete(4), petersen_graph()):
+        w = g.uniform_weight()
         for u, v, _ in g.edges():
             if u == v:
                 continue
             terms = unweighted_terms(g, u, v)
             assert terms is not None
-            assert terms["value"] == lower_bound_formula(g, u, v)
+            # the docstring's triangle/loop form, from the counts alone
+            tri = Fraction(terms["triangles"])
+            nx, ny = g.degree(u) / w, g.degree(v) / w
+            lo, hi = min(nx, ny), max(nx, ny)
+            value = (
+                -max(1 - 1 / nx - 1 / ny - tri / lo, Fraction(0))
+                - max(1 - 1 / nx - 1 / ny - tri / hi, Fraction(0))
+                + tri / hi
+                + terms["loop_x"] / nx
+                + terms["loop_y"] / ny
+            )
+            assert value == lower_bound_formula(g, u, v)
 
 
 def test_unweighted_terms_none_for_weighted():
