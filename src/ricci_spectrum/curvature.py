@@ -33,7 +33,7 @@ from typing import Optional
 import math
 
 from .errors import InfiniteDistance, SameVertex
-from .graph import WeightedGraph, neighbor_partition
+from .graph import WeightedGraph, _check_vertices, neighbor_partition
 from .transport import wasserstein
 from .walk import one_step_measure
 
@@ -76,6 +76,7 @@ class BoundFormulaResult:
 
 def ricci_curvature(g: WeightedGraph, x: int, y: int) -> CurvatureValue:
     """Exact kappa(x, y) via an optimal transport solve on (m_x, m_y)."""
+    _check_vertices(g, x, y)
     if x == y:
         raise SameVertex("curvature is defined for distinct vertices")
     d = g.distance(x, y)

@@ -1,6 +1,7 @@
 """Weighted undirected graphs with self-loops, in exact rational arithmetic.
 
-Vertices are dense integers 0..N-1.  The weight function is symmetric,
+Vertices are dense integers 0..N-1; the public walk and curvature functions
+raise ValueError for any other vertex id.  The weight function is symmetric,
 positive on edges and zero elsewhere; a loop is an edge (x, x) whose weight
 counts once in the degree d_x = sum_y w_xy.  Distances are hop counts
 (number of edges on a shortest path), independent of the weights; loops
@@ -52,7 +53,9 @@ class WeightedGraph:
     """Immutable weighted graph with loops.
 
     Construct via :func:`build_graph`; the constructor takes a fully-built
-    adjacency structure and is not meant for direct use.
+    adjacency structure and is not meant for direct use.  The accessors sit
+    on every hot path and do not check their vertex ids: an id outside
+    0..N-1 raises IndexError or, if negative, wraps around.
     """
 
     __slots__ = ("_n", "_adj", "_degrees", "_dist")
@@ -162,6 +165,13 @@ class WeightedGraph:
     def is_connected(self) -> bool:
         """True when every vertex is reachable from vertex 0."""
         return all(not math.isinf(d) for d in self.distance_matrix()[0])
+
+
+def _check_vertices(g: WeightedGraph, *ids) -> None:
+    """Raise ValueError unless every id is an int vertex of g, in 0..N-1."""
+    for v in ids:
+        if not (isinstance(v, int) and 0 <= v < g.n_vertices):
+            raise ValueError(f"vertex ids must be integers in 0..{g.n_vertices - 1}, got {v!r}")
 
 
 @dataclass(frozen=True)

@@ -234,7 +234,9 @@ def wasserstein(metric: Metric, mu, nu) -> Tuple[Fraction, TransportPlan]:
     their supports must lie in one metric component (InfiniteDistance).
     Returns the optimal cost and a plan with only its positive entries; the
     cost is unique even where the plan is not.  Two measures of zero total
-    mass cost 0 with an empty plan.
+    mass cost 0 with an empty plan.  The metric is an opaque oracle called
+    on every pair of support vertices, a hot path, so the support vertices
+    are not checked against any graph.
     """
     sources, sinks, cost, supply, demand, scale = _problem(metric, mu, nu)
     total, flow, _, _ = _solve_transportation(cost, supply, demand)

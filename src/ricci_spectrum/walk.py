@@ -19,7 +19,7 @@ from itertools import islice
 from typing import Mapping, Optional
 
 from .errors import InternalInconsistency, LoopAlreadyPresent
-from .graph import WeightedGraph, as_weight
+from .graph import WeightedGraph, _check_vertices, as_weight
 
 ZERO = Fraction(0)
 
@@ -83,6 +83,7 @@ def _step(g: WeightedGraph, mass: Mapping[int, Fraction]) -> dict:
 
 def one_step_measure(g: WeightedGraph, x: int) -> ProbMeasure:
     """m_x: mass w_xy/d_x on each neighbor y (x included iff it has a loop)."""
+    _check_vertices(g, x)
     return ProbMeasure(_step(g, {x: 1}))
 
 
@@ -90,6 +91,7 @@ def t_step_measure(g: WeightedGraph, x: int, t: int) -> ProbMeasure:
     """Distribution of a t-step walk from x, t >= 1, by exact pushforwards."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
+    _check_vertices(g, x)
     mass = {x: 1}
     for _ in range(t):
         mass = _step(g, mass)
@@ -132,6 +134,7 @@ def neighborhood_graph(g: WeightedGraph, t: int) -> WeightedGraph:
 
 def heat_kernel(g: WeightedGraph, t: int, x: int, y: int) -> Fraction:
     """p_t(x, y) = w_xy[t] / (d_x d_y); symmetric in x and y."""
+    _check_vertices(g, x, y)
     return t_step_measure(g, x, t).mass(y) / g.degree(y)
 
 
@@ -154,8 +157,7 @@ def lazy_graph(g: WeightedGraph, laziness) -> WeightedGraph:
 
     adjacency = [dict(g._adj[x]) for x in g.vertices()]
     for x, a in alpha.items():
-        if not (isinstance(x, int) and 0 <= x < g.n_vertices):
-            raise ValueError(f"laziness key {x!r} is not a vertex")
+        _check_vertices(g, x)
         if not 0 <= a < 1:
             raise ValueError(f"laziness at {x} must lie in [0, 1), got {a}")
         if a > 0:

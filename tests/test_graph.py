@@ -8,9 +8,13 @@ from hypothesis import given, settings
 from ricci_spectrum import (
     UNREACHABLE,
     build_graph,
+    heat_kernel,
     is_bipartite,
     neighbor_partition,
     neighborhood_graph,
+    one_step_measure,
+    ricci_curvature,
+    t_step_measure,
 )
 from ricci_spectrum.errors import (
     DisconnectedGraph,
@@ -149,6 +153,24 @@ def test_partition_errors():
         neighbor_partition(c5, 0, 2)
     with pytest.raises(SameVertex):
         neighbor_partition(c5, 1, 1)
+
+
+@pytest.mark.parametrize("bad", [-1, 5, 7, "0", 1.0])
+def test_pair_and_walk_functions_reject_ids_that_are_not_vertices(bad):
+    # a negative id used to wrap around to vertex N - 1 and one past the end
+    # raised IndexError
+    c5 = cycle_graph(5)
+    calls = (
+        lambda: ricci_curvature(c5, 0, bad),
+        lambda: ricci_curvature(c5, bad, 0),
+        lambda: one_step_measure(c5, bad),
+        lambda: t_step_measure(c5, bad, 2),
+        lambda: heat_kernel(c5, 2, 0, bad),
+        lambda: heat_kernel(c5, 2, bad, 0),
+    )
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_degree_symmetry_corpus():
