@@ -368,11 +368,12 @@ def joint_neighbor_bounds(g: WeightedGraph) -> BoundReport:
     applicable = upper is not None or lower is not None
     if applicable:
         verified = _holds(spec.lambda_max, spec.lambda_max, lower, upper)
-    reason = (
-        "edge-set inclusion with the walk graph"
-        if applicable
-        else "neither edge-set inclusion with the walk graph holds"
-    )
+    if applicable:
+        reason = "edge-set inclusion with the walk graph"
+    elif sharp_min is None:
+        reason = "no adjacent distinct pairs"
+    else:
+        reason = "neither edge-set inclusion with the walk graph holds"
     return BoundReport(
         name="joint_neighbors",
         t=None,

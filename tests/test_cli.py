@@ -167,7 +167,12 @@ def test_loop_only_graph_report_and_audit_are_inapplicable(tmp_path, capsys):
     path = _write(tmp_path, "loop.edges", "a a\n")
     for command in ("report", "audit"):
         assert main([command, path, "--format", "json"]) == EXIT_OK
-        audit = json.loads(capsys.readouterr().out)["sections"]["audit"]
+        sections = json.loads(capsys.readouterr().out)["sections"]
+        audit = sections["audit"]
+        if command == "report":
+            joint = sections["bounds"]["joint_neighbors"]
+            assert joint["applicable"] is False
+            assert joint["reason"] == "no adjacent distinct pairs"
         assert audit["contraction"]["k"] is None
         assert audit["contraction"]["passed"] is None
         assert audit["all_passed"] is True
