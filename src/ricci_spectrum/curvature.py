@@ -94,11 +94,8 @@ def _formula_terms(g: WeightedGraph, x: int, y: int):
     b = shared - part.common_min
     lower = -max(a, ZERO) - max(b, ZERO) + part.common_min + part.loop_x + part.loop_y
     # the z = x and z = y terms of the upper bound's sum
-    upper = (
-        min(part.loop_x, part.edge_mass_y)
-        + min(part.edge_mass_x, part.loop_y)
-        + part.common_min
-    )
+    upper = min(part.loop_x, part.edge_mass_y) + min(part.edge_mass_x, part.loop_y)
+    upper += part.common_min
     return part, a, b, lower, upper
 
 

@@ -171,7 +171,7 @@ def _check_vertices(g: WeightedGraph, *ids) -> None:
     """Raise ValueError unless every id is an int vertex of g, in 0..N-1."""
     for v in ids:
         if not (isinstance(v, int) and 0 <= v < g.n_vertices):
-            raise ValueError(f"vertex ids must be integers in 0..{g.n_vertices - 1}, got {v!r}")
+            raise ValueError(f"vertex ids must be ints in 0..{g.n_vertices - 1}, got {v!r}")
 
 
 @dataclass(frozen=True)

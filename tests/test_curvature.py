@@ -211,3 +211,33 @@ def test_formula_bounds_sandwich_kappa_property(g):
         assert lower <= ricci_curvature(g, x, y).kappa <= upper
         case = sharpness_case(g, x, y)
         assert (case.lower_k, case.upper) == (lower, upper)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(weighted_graphs(loops=True))
+def test_closed_forms_match_module_docstring_property(g):
+    # A, B, lower and upper as curvature's module docstring writes them,
+    # from direct sums of w/d over the common neighbors
+    for x, y in _distinct_edges(g):
+        dx, dy = g.degree(x), g.degree(y)
+        common = (set(g.neighbors(x)) & set(g.neighbors(y))) - {x, y}
+        masses = [(g.weight(z, x) / dx, g.weight(z, y) / dy) for z in common]
+        s_min = sum((min(pair) for pair in masses), Fraction(0))
+        s_max = sum((max(pair) for pair in masses), Fraction(0))
+        shared = 1 - g.weight(x, y) / dx - g.weight(x, y) / dy
+        a, b = shared - s_max, shared - s_min
+        lower = (
+            -max(a, Fraction(0))
+            - max(b, Fraction(0))
+            + s_min
+            + g.weight(x, x) / dx
+            + g.weight(y, y) / dy
+        )
+        upper = sum(
+            (min(g.weight(z, x) / dx, g.weight(z, y) / dy) for z in {x, y} | common),
+            Fraction(0),
+        )
+        assert lower_bound_formula(g, x, y) == lower
+        assert upper_bound_formula(g, x, y) == upper
+        case = sharpness_case(g, x, y)
+        assert (case.a_xy, case.b_xy) == (a, b)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from ricci_spectrum import (
     build_graph,
@@ -21,7 +22,7 @@ from ricci_spectrum.tolerances import (
     TRANSFER_IDENTITY_TOL,
 )
 
-from conftest import complete_graph, cycle_graph, full_corpus, lazy_complete
+from conftest import complete_graph, cycle_graph, full_corpus, lazy_complete, weighted_graphs
 
 
 def test_pentagon_spectrum():
@@ -95,6 +96,13 @@ def test_transfer_identity_corpus():
     for _, g in full_corpus()[:25]:
         for t in range(1, 7):
             assert verify_transfer_identity(g, t) <= TRANSFER_IDENTITY_TOL
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(weighted_graphs())
+def test_transfer_identity_property(g):
+    for t in range(1, 5):
+        assert verify_transfer_identity(g, t) <= TRANSFER_IDENTITY_TOL
 
 
 def test_rayleigh_ratio_identity():

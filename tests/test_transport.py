@@ -23,6 +23,7 @@ from conftest import (
     full_corpus,
     random_corpus,
     random_measure,
+    weighted_graphs,
 )
 
 
@@ -243,3 +244,25 @@ def test_integer_simplex_on_huge_denominators(instance):
     assert isinstance(cost, Fraction) and isinstance(plan.cost, Fraction)
     assert all(isinstance(q, Fraction) for q in plan.entries.values())
     assert all(isinstance(f, Fraction) for f in cert.potential.values())
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(weighted_graphs())
+def test_w1_is_a_certified_metric_on_walk_measures_property(g):
+    measures = [one_step_measure(g, x) for x in g.vertices()]
+    n = len(measures)
+    w1 = {}
+    for i, mu in enumerate(measures):
+        for j, nu in enumerate(measures):
+            cost, plan = wasserstein(g.distance, mu, nu)
+            assert verify_plan(plan, mu, nu, g.distance)
+            f = dual_certificate(g.distance, mu, nu, cost).potential
+            assert all(abs(f[a] - f[b]) <= g.distance(a, b) for a in f for b in f)
+            gap = sum(f[v] * m for v, m in mu.items()) - sum(f[v] * m for v, m in nu.items())
+            assert gap == cost
+            w1[i, j] = cost
+    for i in range(n):
+        assert w1[i, i] == 0
+        for j in range(n):
+            assert w1[i, j] == w1[j, i]
+            assert all(w1[i, k] <= w1[i, j] + w1[j, k] for k in range(n))
