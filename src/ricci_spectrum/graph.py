@@ -1,11 +1,11 @@
 """Weighted undirected graphs with self-loops, in exact rational arithmetic.
 
-Vertices are dense integers 0..N-1; the public walk and curvature functions
-raise ValueError for any other vertex id.  The weight function is symmetric,
-positive on edges and zero elsewhere; a loop is an edge (x, x) whose weight
-counts once in the degree d_x = sum_y w_xy.  Distances are hop counts
-(number of edges on a shortest path), independent of the weights; loops
-never shorten a path between distinct vertices.
+Vertices are dense integers 0..N-1; the public walk, curvature and
+partition functions raise ValueError for any other vertex id.  The weight
+function is symmetric, positive on edges and zero elsewhere; a loop is an
+edge (x, x) whose weight counts once in the degree d_x = sum_y w_xy.
+Distances are hop counts (number of edges on a shortest path), independent
+of the weights; loops never shorten a path between distinct vertices.
 
 All arithmetic on weights, degrees and masses uses fractions.Fraction so
 that downstream curvature and transport results are exact.
@@ -282,8 +282,10 @@ def neighbor_partition(g: WeightedGraph, x: int, y: int) -> NeighborhoodPartitio
     """Split the neighborhoods of an adjacent pair x ~ y (x != y).
 
     Common neighbors go to n_x_ge_y when w_xz/d_x >= w_zy/d_y (ties
-    included) and to n_x_lt_y otherwise.  Raises NotNeighbors / SameVertex.
+    included) and to n_x_lt_y otherwise.  Raises ValueError for an id that
+    is not a vertex, then SameVertex or NotNeighbors.
     """
+    _check_vertices(g, x, y)
     if x == y:
         raise SameVertex(f"need two distinct vertices, got x = y = {x}")
     if not g.adjacent(x, y):

@@ -1,9 +1,15 @@
 """Random-walk measures, neighborhood graphs, heat kernel, lazy walks.
 
 The one-step walk from x lands on y with probability m_x(y) = w_xy/d_x.
-Pushing a measure through one step is mu P(y) = sum_x mu(x) m_x(y); t-step
-distributions are t successive exact pushforwards (kept as Fractions, so the
-support is exact as well).  ``_step`` is the one implementation of P.
+Pushing a measure through one step is mu P(y) = sum_x mu(x) m_x(y); ``_step``
+is the one implementation of P, behind the one-step measure and
+``ProbMeasure.pushforward``.
+
+t-step distributions come from ``_walk_rows``, the one implementation of P^t.
+It works on integers: with s the LCM of the weight denominators and L the LCM
+of the scaled degrees s*d_x, both W_s = s*W and M = L*D^-1*W are integer
+matrices, and s*L^(t-1)*W[t] = W_s*M^(t-1).  Each row is t-1 sparse integer
+vector-matrix products, and each weight becomes one Fraction at the end.
 
 The t-th neighborhood graph G[t] keeps the vertex set and sets
 w_xy[t] = (t-step probability x -> y) * d_x.  Degrees are preserved
@@ -14,6 +20,7 @@ than from the arithmetic.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import islice
 from typing import Mapping, Optional
@@ -87,15 +94,42 @@ def one_step_measure(g: WeightedGraph, x: int) -> ProbMeasure:
     return ProbMeasure(_step(g, {x: 1}))
 
 
+def _walk_rows(g: WeightedGraph, t: int, sources) -> tuple:
+    """Rows x in ``sources`` of the integer matrix s*L^(t-1)*W[t], and s*L^(t-1).
+
+    Row x is W_s[x]*M^(t-1) (see the module docstring): every entry is a
+    positive integer on the ends of the length-t walks from x, and the row
+    sums to s*d_x*L^(t-1) because every row of M sums to L.
+    """
+    s = math.lcm(*(w.denominator for _, _, w in g.edges()))
+    scaled = [
+        {y: w.numerator * (s // w.denominator) for y, w in g.neighbor_items(z)}
+        for z in g.vertices()
+    ]
+    degrees = [sum(row.values()) for row in scaled]
+    big = math.lcm(*degrees)
+    step = [[(y, big // d * w) for y, w in row.items()] for row, d in zip(scaled, degrees)]
+    rows = []
+    for x in sources:
+        row = scaled[x]
+        for _ in range(t - 1):
+            out = {}
+            for z, mass in row.items():
+                for y, w in step[z]:
+                    out[y] = out.get(y, 0) + mass * w
+            row = out
+        rows.append(row)
+    return rows, s * big ** (t - 1)
+
+
 def t_step_measure(g: WeightedGraph, x: int, t: int) -> ProbMeasure:
-    """Distribution of a t-step walk from x, t >= 1, by exact pushforwards."""
+    """Distribution of a t-step walk from x, t >= 1: row x of W[t] over d_x."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     _check_vertices(g, x)
-    mass = {x: 1}
-    for _ in range(t):
-        mass = _step(g, mass)
-    return ProbMeasure(mass)
+    (row,), den = _walk_rows(g, t, (x,))
+    scale = g.degree(x) * den
+    return ProbMeasure({y: w / scale for y, w in row.items()})
 
 
 def _reaches(g: WeightedGraph):
@@ -111,25 +145,24 @@ def neighborhood_graph(g: WeightedGraph, t: int) -> WeightedGraph:
     """Build G[t] with w_xy[t] = (t-step probability x -> y) * d_x.
 
     The edge set is fixed by boolean reachability in exactly t steps; the
-    exact rational weights must agree with it and be symmetric; either
-    failure raises InternalInconsistency.  G[1] equals g (same weights).
+    exact weights must be positive on it, sum to d_x in each row and be
+    symmetric; any failure raises InternalInconsistency.  G[1] equals g
+    (same weights).
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     reach = next(islice(_reaches(g), t - 1, None))
-    rows = []
-    for x in g.vertices():
-        mu = t_step_measure(g, x, t)
-        if set(mu.support) != reach[x]:
-            raise InternalInconsistency(f"walk support from {x} disagrees with reachability")
-        dx = g.degree(x)
-        rows.append({y: m * dx for y, m in mu.items()})
+    rows, den = _walk_rows(g, t, g.vertices())
     for x, row in enumerate(rows):
+        if row.keys() != reach[x] or not all(w > 0 for w in row.values()):
+            raise InternalInconsistency(f"walk support from {x} disagrees with reachability")
+        if sum(row.values()) != g.degree(x) * den:
+            raise InternalInconsistency(f"t-step weights from {x} do not sum to its degree")
         for y, w in row.items():
             # reversibility: d_x * P^t(x, y) == d_y * P^t(y, x)
             if rows[y].get(x) != w:
                 raise InternalInconsistency(f"t-step weights of ({x}, {y}) are not symmetric")
-    return WeightedGraph(rows)
+    return WeightedGraph([{y: Fraction(w, den) for y, w in row.items()} for row in rows])
 
 
 def heat_kernel(g: WeightedGraph, t: int, x: int, y: int) -> Fraction:

@@ -2,10 +2,12 @@
 
     python3 tests/record_goldens.py
 
-Writes ``<name>.edges`` (the input, in the edge-list dialect) and
+Writes ``<name>.edges`` (the input, in the edge-list dialect),
 ``<name>.json`` (the stdout of ``report --format json --t-max 5`` run from
-the repository root on ``tests/goldens/<name>.edges``) for every graph of
-GOLDEN_GRAPHS.  tests/test_goldens.py compares the program against them.
+the repository root on ``tests/goldens/<name>.edges``) and ``<name>.g4.txt``
+(the stdout of ``neighborhood --t 4``, the exact edge list of G[4]) for
+every graph of the golden corpus.  tests/test_goldens.py compares the
+program against them.
 Regenerate them only when an output is meant to change, and say which one
 and why.
 """
@@ -19,6 +21,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GOLDENS = ROOT / "tests" / "goldens"
 ARGS = ("report", "--format", "json", "--t-max", "5")
+WALK_ARGS = ("neighborhood", "--t", "4")
+#: Output file suffix and CLI arguments of each recorded run.
+RUNS = {".json": ARGS, ".g4.txt": WALK_ARGS}
 
 #: Members of conftest.random_corpus() recorded next to the named corpus.
 RANDOM_PICKS = (0, 1, 2, 3)
@@ -48,13 +53,14 @@ def main() -> int:
     GOLDENS.mkdir(exist_ok=True)
     for name, text in golden_inputs().items():
         (GOLDENS / f"{name}.edges").write_text(text, encoding="utf-8")
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli_main([ARGS[0], input_path(name), *ARGS[1:]])
-        if code != 0:
-            print(f"{name}: exit code {code}", file=sys.stderr)
-            return 1
-        (GOLDENS / f"{name}.json").write_text(out.getvalue(), encoding="utf-8")
+        for suffix, args in RUNS.items():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli_main([args[0], input_path(name), *args[1:]])
+            if code != 0:
+                print(f"{name} {args[0]}: exit code {code}", file=sys.stderr)
+                return 1
+            (GOLDENS / f"{name}{suffix}").write_text(out.getvalue(), encoding="utf-8")
         print(f"{name}: recorded")
     return 0
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ricci_spectrum import ProbMeasure, neighborhood_graph, walk
+from ricci_spectrum import neighborhood_graph, walk
 from ricci_spectrum.cli import (
     EXIT_CONFIG,
     EXIT_GRAPH,
@@ -179,7 +179,8 @@ def test_loop_only_graph_report_and_audit_are_inapplicable(tmp_path, capsys):
 
 
 def test_walk_graph_inconsistency_exits_internal(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(walk, "t_step_measure", lambda g, x, t: ProbMeasure({x: 1}))
+    # every walk stays put, so the support misses the vertices two steps away
+    monkeypatch.setattr(walk, "_walk_rows", lambda g, t, sources: ([{x: 1} for x in sources], 1))
     path = _write(tmp_path, "c5.edges", C5_TEXT)
     assert main(["neighborhood", path, "--t", "2"]) == EXIT_INTERNAL
     assert "reachability" in capsys.readouterr().err

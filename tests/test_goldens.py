@@ -1,8 +1,9 @@
-"""The report JSON of the golden corpus matches tests/goldens/.
+"""The report JSON and the G[4] edge list of the golden corpus match tests/goldens/.
 
 Strings ("p/q" rationals, labels, the edge-list text), ints, bools and nulls
 must be equal; floats come from the eigensolver, whose last printed digit
-depends on the BLAS, so they match within EIGENVALUE_TOL.
+depends on the BLAS, so they match within EIGENVALUE_TOL.  The G[4] edge
+lists hold only labels and "p/q" weights and must match byte for byte.
 Regenerate with ``python3 tests/record_goldens.py``.
 """
 
@@ -10,7 +11,7 @@ import json
 
 import pytest
 
-from record_goldens import ARGS, GOLDENS, ROOT, golden_inputs, input_path
+from record_goldens import ARGS, GOLDENS, ROOT, WALK_ARGS, golden_inputs, input_path
 from ricci_spectrum.cli import EXIT_OK, main
 from ricci_spectrum.tolerances import EIGENVALUE_TOL
 
@@ -42,6 +43,7 @@ def _mismatch(got, want, where="$"):
 
 def test_golden_corpus_is_complete():
     assert NAMES == sorted(golden_inputs())
+    assert NAMES == sorted(p.name.removesuffix(".g4.txt") for p in GOLDENS.glob("*.g4.txt"))
     for name, text in golden_inputs().items():
         assert (GOLDENS / f"{name}.edges").read_text(encoding="utf-8") == text
 
@@ -53,3 +55,11 @@ def test_report_matches_golden(name, monkeypatch, capsys):
     got = json.loads(capsys.readouterr().out)
     want = json.loads((GOLDENS / f"{name}.json").read_text(encoding="utf-8"))
     assert _mismatch(got, want) is None, _mismatch(got, want)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_walk_graph_matches_golden(name, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert main([WALK_ARGS[0], input_path(name), *WALK_ARGS[1:]]) == EXIT_OK
+    want = (GOLDENS / f"{name}.g4.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want

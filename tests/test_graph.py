@@ -10,11 +10,14 @@ from ricci_spectrum import (
     build_graph,
     heat_kernel,
     is_bipartite,
+    lower_bound_formula,
     neighbor_partition,
     neighborhood_graph,
     one_step_measure,
     ricci_curvature,
+    sharpness_case,
     t_step_measure,
+    upper_bound_formula,
 )
 from ricci_spectrum.errors import (
     DisconnectedGraph,
@@ -157,8 +160,8 @@ def test_partition_errors():
 
 @pytest.mark.parametrize("bad", [-1, 5, 7, "0", 1.0])
 def test_pair_and_walk_functions_reject_ids_that_are_not_vertices(bad):
-    # a negative id used to wrap around to vertex N - 1 and one past the end
-    # raised IndexError
+    # a negative id used to wrap around to vertex N - 1, one past the end
+    # raised IndexError, and a larger id raised NotNeighbors
     c5 = cycle_graph(5)
     calls = (
         lambda: ricci_curvature(c5, 0, bad),
@@ -167,6 +170,10 @@ def test_pair_and_walk_functions_reject_ids_that_are_not_vertices(bad):
         lambda: t_step_measure(c5, bad, 2),
         lambda: heat_kernel(c5, 2, 0, bad),
         lambda: heat_kernel(c5, 2, bad, 0),
+        lambda: lower_bound_formula(c5, bad, 0),
+        lambda: upper_bound_formula(c5, 0, bad),
+        lambda: neighbor_partition(c5, bad, 0),
+        lambda: sharpness_case(c5, 0, bad),
     )
     for call in calls:
         with pytest.raises(ValueError):

@@ -120,6 +120,25 @@ def test_walk_graph_weights_match_dense_matrix_power_property(g):
                 assert gt.adjacent(x, y) == (power[x][y] != 0)
 
 
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(weighted_graphs(loops=True))
+def test_walk_kernel_matches_repeated_pushforward_property(g):
+    # G[t] row x is d_x times t pushforwards of the point mass at x; G[t]
+    # keeps every degree, and d_x P^t(x, y) == d_y P^t(y, x)
+    for t in range(1, 5):
+        gt = neighborhood_graph(g, t)
+        assert gt.degrees == g.degrees
+        measures = [t_step_measure(g, x, t) for x in g.vertices()]
+        for x in g.vertices():
+            mu = ProbMeasure({x: 1})
+            for _ in range(t):
+                mu = mu.pushforward(g)
+            assert measures[x] == mu
+            assert dict(gt.neighbor_items(x)) == {y: g.degree(x) * m for y, m in mu.items()}
+            for y in g.vertices():
+                assert g.degree(x) * measures[x].mass(y) == g.degree(y) * measures[y].mass(x)
+
+
 def test_order_one_walk_graph_is_the_graph():
     for _, g in full_corpus()[:15]:
         assert neighborhood_graph(g, 1) == g
@@ -261,24 +280,39 @@ def test_first_complete_t_matches_boolean_oracle():
         assert first_complete_t(g, 12) == expected
 
 
-def _support_fault(g, x, t):
+_WALK_ROWS = walk._walk_rows
+
+
+def _support_fault(g, t, sources):
     """Stays put: for t >= 2 on a cycle the support misses reachable vertices."""
-    return ProbMeasure({x: 1})
+    rows, den = _WALK_ROWS(g, t, sources)
+    return [{x: sum(row.values())} for x, row in zip(sources, rows)], den
 
 
-def _symmetry_fault(g, x, t):
-    """Right support, but half the mass on its smallest vertex: not reversible."""
-    support = t_step_measure(g, x, t).support
-    rest = Fraction(1, 2 * (len(support) - 1))
-    return ProbMeasure({y: Fraction(1, 2) if y == support[0] else rest for y in support})
+def _symmetry_fault(g, t, sources):
+    """Right support and row sums, but one unit moves from the last vertex to the first."""
+    rows, den = _WALK_ROWS(g, t, sources)
+    faulty = []
+    for row in rows:
+        row = {y: 2 * w for y, w in row.items()}
+        row[min(row)] += 1
+        row[max(row)] -= 1
+        faulty.append(row)
+    return faulty, 2 * den
 
 
-FAULTS = {"support": _support_fault, "symmetry": _symmetry_fault}
+def _mass_fault(g, t, sources):
+    """Right support and symmetric, but every row sums to twice its degree."""
+    rows, den = _WALK_ROWS(g, t, sources)
+    return [{y: 2 * w for y, w in row.items()} for row in rows], den
+
+
+FAULTS = {"mass": _mass_fault, "support": _support_fault, "symmetry": _symmetry_fault}
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_walk_graph_consistency_checks_raise(fault, monkeypatch):
-    monkeypatch.setattr(walk, "t_step_measure", FAULTS[fault])
+    monkeypatch.setattr(walk, "_walk_rows", FAULTS[fault])
     with pytest.raises(InternalInconsistency):
         neighborhood_graph(cycle_graph(5), 2)
 
@@ -297,4 +331,4 @@ def test_walk_graph_consistency_checks_survive_optimize():
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    assert "2 passed" in result.stdout
+    assert f"{len(FAULTS)} passed" in result.stdout
