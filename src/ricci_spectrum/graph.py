@@ -49,6 +49,12 @@ def as_weight(value) -> Fraction:
     return Fraction(value)
 
 
+def _exact_sum(values) -> Fraction:
+    """Sum of a collection of exact values over one denominator, the LCM of theirs."""
+    den = math.lcm(*(q.denominator for q in values))
+    return Fraction(sum(q.numerator * (den // q.denominator) for q in values), den)
+
+
 class WeightedGraph:
     """Immutable weighted graph with loops.
 
@@ -58,7 +64,7 @@ class WeightedGraph:
     0..N-1 raises IndexError or, if negative, wraps around.
     """
 
-    __slots__ = ("_n", "_adj", "_degrees", "_dist")
+    __slots__ = ("_n", "_adj", "_degrees", "_dist", "_measures")
 
     def __init__(self, adjacency: Sequence[dict]):
         self._n = len(adjacency)
@@ -66,8 +72,10 @@ class WeightedGraph:
         self._adj = tuple(
             {y: adjacency[x][y] for y in sorted(adjacency[x])} for x in range(self._n)
         )
-        self._degrees = tuple(sum(nbrs.values(), Fraction(0)) for nbrs in self._adj)
+        self._degrees = tuple(_exact_sum(nbrs.values()) for nbrs in self._adj)
         self._dist: Optional[tuple] = None
+        # one-step walk measures, built on demand by walk.one_step_measure
+        self._measures: list = [None] * self._n
 
     # -- basic accessors ----------------------------------------------------
 

@@ -6,10 +6,19 @@ marginals are mu and column marginals nu, with cost d(u, v) per unit mass:
     W_1(mu, nu) = min_xi  sum_{u, v} d(u, v) xi(u, v).
 
 Supports here are tiny (at most a vertex neighborhood), so the minimum is
-found by a transportation simplex: northwest-corner start, Bland's
-smallest-index pivoting (which also rules out cycling on degenerate bases),
-and one walk of the basis tree per pivot that yields both the potentials and
-the parent links along which the entering cell's cycle is found.
+found by a transportation simplex: northwest-corner start and Bland's
+smallest-index pivoting (which also rules out cycling on degenerate bases).
+The basis tree, rooted at row 0, carries the potentials and the parent
+links along which the entering cell's cycle is found.  It is built once;
+after each pivot only the subtree that the leaving cell cuts off is walked
+again, re-hung from the entering cell (Ahuja, Magnanti and Orlin, *Network
+Flows*, ch. 11).  A rooted spanning tree fixes its parents, depths and
+potentials (u_0 = 0), so every pivot is the one a full rebuild would make.
+
+Mass that both measures put on one vertex, min(mu(v), nu(v)), stays there
+at no cost, since d(v, v) = 0 and d obeys the triangle inequality.  It is
+cancelled before the solve, which then moves only the rest between two
+disjoint supports, and it comes back as (v, v) entries of the plan.
 
 The simplex runs on Python integers only.  Both measures are scaled once by
 the LCM of all their mass denominators, so supply and demand are integers;
@@ -70,55 +79,55 @@ def _measure_items(measure) -> Dict[int, Fraction]:
 
 
 def _cost_matrix(metric: Metric, sources, sinks):
-    cost = []
-    for u in sources:
-        row = []
-        for v in sinks:
-            d = metric(u, v)
-            if math.isinf(d):
-                raise InfiniteDistance(f"no path between support vertices {u} and {v}")
-            row.append(int(d))
-        cost.append(row)
-    return cost
+    return [[int(metric(u, v)) for v in sinks] for u in sources]
 
 
 def _problem(metric: Metric, mu, nu):
-    """Supports, cost matrix, integer supply and demand, and their scale.
+    """Both measures on integers, and the part of them that has to move.
 
     Every mass q is scaled to the integer q * scale, where scale is the LCM
-    of all mass denominators of both measures.
+    of all mass denominators of both measures; mu_int and nu_int map each
+    support vertex to its scaled mass.  The shared mass min(mu(v), nu(v))
+    stays at v for free, so supply and demand keep what is left of mu and
+    of nu once it is cancelled, max(mu(v) - nu(v), 0) and
+    max(nu(v) - mu(v), 0), where it is positive.  Their supports are
+    disjoint, and cost is the metric on them.
+    Returns (mu_int, nu_int, supply, demand, cost, scale).
     """
     mu_items = _measure_items(mu)
     nu_items = _measure_items(nu)
-    sources = sorted(mu_items)
-    sinks = sorted(nu_items)
     masses = (*mu_items.values(), *nu_items.values())
     scale = math.lcm(*(q.denominator for q in masses))
 
-    def scaled(items, support):
-        return [items[v].numerator * (scale // items[v].denominator) for v in support]
+    def scaled(items):
+        return {v: items[v].numerator * (scale // items[v].denominator) for v in sorted(items)}
 
-    supply = scaled(mu_items, sources)
-    demand = scaled(nu_items, sinks)
-    if sum(supply) != sum(demand):
-        mu_total = Fraction(sum(supply), scale)
-        nu_total = Fraction(sum(demand), scale)
-        raise UnbalancedMeasures(f"total masses differ: {mu_total} vs {nu_total}")
-    cost = _cost_matrix(metric, sources, sinks)
-    return sources, sinks, cost, supply, demand, scale
+    mu_int, nu_int = scaled(mu_items), scaled(nu_items)
+    mu_total, nu_total = sum(mu_int.values()), sum(nu_int.values())
+    if mu_total != nu_total:
+        raise UnbalancedMeasures(
+            f"total masses differ: {Fraction(mu_total, scale)} vs {Fraction(nu_total, scale)}"
+        )
+    # finite distances form one component, so one row of checks covers all pairs
+    union = sorted(mu_int.keys() | nu_int.keys())
+    for z in union[1:]:
+        if math.isinf(metric(union[0], z)):
+            raise InfiniteDistance(f"no path between support vertices {union[0]} and {z}")
+    supply = {v: q - nu_int.get(v, 0) for v, q in mu_int.items() if q > nu_int.get(v, 0)}
+    demand = {v: q - mu_int.get(v, 0) for v, q in nu_int.items() if q > mu_int.get(v, 0)}
+    cost = _cost_matrix(metric, supply, demand)
+    return mu_int, nu_int, supply, demand, cost, scale
 
 
 def _northwest_corner(supply, demand):
-    """Initial basic feasible solution with exactly m + n - 1 basis cells."""
+    """Initial basic feasible solution: a flow on exactly m + n - 1 basis cells."""
     m, n = len(supply), len(demand)
     a, b = list(supply), list(demand)
     flow = {}
-    basis = []
     i = j = 0
     while True:
         q = min(a[i], b[j])
         flow[(i, j)] = q
-        basis.append((i, j))
         a[i] -= q
         b[j] -= q
         if i == m - 1 and j == n - 1:
@@ -128,34 +137,43 @@ def _northwest_corner(supply, demand):
             i += 1
         else:
             j += 1
-    return flow, basis
+    return flow
 
 
 def _basis_tree(basis, cost, m, n):
-    """One DFS of the basis tree from row 0.
+    """The basis tree rooted at row 0.
 
-    Nodes are rows 0..m-1 and columns m..m+n-1.  Returns the potentials
-    (u, v) solving u_i + v_j = c_ij on the basis with u_0 = 0, and each
-    node's parent (None at the root) and depth in the tree.
+    Nodes are rows 0..m-1 and columns m..m+n-1.  Returns the adjacency
+    lists, the potentials pot (u_i = pot[i], v_j = pot[m + j]) solving
+    u_i + v_j = c_ij on the basis with u_0 = 0, and each node's parent
+    (None at the root) and depth in the tree.
     """
     adj = [[] for _ in range(m + n)]
     for i, j in basis:
         adj[i].append(m + j)
         adj[m + j].append(i)
-    pot = [None] * (m + n)
+    pot = [0] * (m + n)
     parent = [None] * (m + n)
     depth = [0] * (m + n)
-    pot[0] = 0
-    stack = [0]
+    _hang(0, adj, cost, m, pot, parent, depth)
+    return adj, pot, parent, depth
+
+
+def _hang(top, adj, cost, m, pot, parent, depth):
+    """One DFS of the subtree below node top, whose own links are already set.
+
+    Every node under top gets its parent, its depth and the potential that
+    makes its cell to the parent tight.
+    """
+    stack = [top]
     while stack:
         a = stack.pop()
         for b in adj[a]:
-            if pot[b] is None:
+            if b != parent[a]:
                 pot[b] = (cost[a][b - m] if a < m else cost[b][a - m]) - pot[a]
                 parent[b] = a
                 depth[b] = depth[a] + 1
                 stack.append(b)
-    return pot[:m], pot[m:], parent, depth
 
 
 def _basis_cycle(entering, parent, depth, m):
@@ -163,8 +181,9 @@ def _basis_cycle(entering, parent, depth, m):
 
     Climbs parent links from row ei and column ej until they meet.  Returns
     the cycle as a cell list starting at the entering cell and then running
-    from column ej to row ei; cells at odd positions lose flow when the
-    entering cell gains.
+    from column ej to row ei, and the index where column ej's side ends:
+    cells 1..split-1 lie on the tree path from column ej up to the meeting
+    node.  Cells at odd positions lose flow when the entering cell gains.
     """
     ei, ej = entering
 
@@ -180,50 +199,65 @@ def _basis_cycle(entering, parent, depth, m):
         else:
             from_col.append(cell(b, parent[b]))
             b = parent[b]
-    return [entering] + from_col + from_row[::-1]
+    return [entering] + from_col + from_row[::-1], 1 + len(from_col)
 
 
 def _solve_transportation(cost, supply, demand):
     """Minimize sum c_ij x_ij with given integer row/column sums.
 
-    Returns (total_cost, flow dict, u, v), all integers, where (u, v) are
-    optimal duals satisfying u_i + v_j <= c_ij with equality on the final
-    basis.  Empty supports (zero total mass) cost 0 with no flow.
+    Returns (total_cost, flow dict, u, v), all integers, where the flow's
+    cells are the final basis and (u, v) are optimal duals satisfying
+    u_i + v_j <= c_ij with equality on that basis.  Empty supports (zero
+    total mass) cost 0 with no flow.
+
+    The basis tree is built once.  A pivot cuts the tree at the leaving
+    cell and joins it again at the entering one, so only the cut-off
+    subtree is walked again, from the entering cell's end inside it.
     """
     m, n = len(supply), len(demand)
     if m == 0:
         return 0, {}, [], []
-    flow, basis = _northwest_corner(supply, demand)
+    flow = _northwest_corner(supply, demand)
+    adj, pot, parent, depth = _basis_tree(flow, cost, m, n)
     while True:
-        u, v, parent, depth = _basis_tree(basis, cost, m, n)
         # basis cells have reduced cost exactly 0, so only a nonbasic cell can enter
-        entering = None
-        for i in range(m):
-            for j in range(n):
-                if cost[i][j] - u[i] - v[j] < 0:
-                    entering = (i, j)
-                    break
-            if entering:
-                break
+        entering = next(
+            (
+                (i, j)
+                for i, row in enumerate(cost)
+                for j, c in enumerate(row)
+                if c - pot[i] < pot[m + j]
+            ),
+            None,
+        )
         if entering is None:
             break
-        cycle = _basis_cycle(entering, parent, depth, m)
+        cycle, split = _basis_cycle(entering, parent, depth, m)
         losers = cycle[1::2]
         theta = min(flow[c] for c in losers)
         leaving = min(c for c in losers if flow[c] == theta)
-        for idx, c in enumerate(cycle):
-            if idx == 0:
-                flow[c] = flow.get(c, 0) + theta
-            elif idx % 2 == 1:
-                flow[c] -= theta
-            else:
-                flow[c] += theta
-        basis.remove(leaving)
-        basis.append(entering)
+        flow[entering] = theta
+        for c in losers:
+            flow[c] -= theta
+        for c in cycle[2::2]:
+            flow[c] += theta
         del flow[leaving]
 
+        li, lj = leaving
+        ei, ej = entering
+        adj[li].remove(m + lj)
+        adj[m + lj].remove(li)
+        adj[ei].append(m + ej)
+        adj[m + ej].append(ei)
+        # the cut-off subtree holds the entering cell's end on the leaving cell's side
+        top, attach = (m + ej, ei) if cycle.index(leaving) < split else (ei, m + ej)
+        parent[top] = attach
+        depth[top] = depth[attach] + 1
+        pot[top] = cost[ei][ej] - pot[attach]
+        _hang(top, adj, cost, m, pot, parent, depth)
+
     total = sum(flow[(i, j)] * cost[i][j] for i, j in flow)
-    return total, flow, u, v
+    return total, flow, pot[:m], pot[m:]
 
 
 def wasserstein(metric: Metric, mu, nu) -> Tuple[Fraction, TransportPlan]:
@@ -235,18 +269,19 @@ def wasserstein(metric: Metric, mu, nu) -> Tuple[Fraction, TransportPlan]:
     Returns the optimal cost and a plan with only its positive entries; the
     cost is unique even where the plan is not.  Two measures of zero total
     mass cost 0 with an empty plan.  The metric is an opaque oracle called
-    on every pair of support vertices, a hot path, so the support vertices
-    are not checked against any graph.
+    on pairs of support vertices, a hot path, so the support vertices are
+    not checked against any graph.
     """
-    sources, sinks, cost, supply, demand, scale = _problem(metric, mu, nu)
-    total, flow, _, _ = _solve_transportation(cost, supply, demand)
+    mu_int, nu_int, supply, demand, cost, scale = _problem(metric, mu, nu)
+    total, flow, _, _ = _solve_transportation(cost, [*supply.values()], [*demand.values()])
+    sources, sinks = list(supply), list(demand)
+    entries = {(v, v): min(q, nu_int[v]) for v, q in mu_int.items() if v in nu_int}
+    entries.update(((sources[i], sinks[j]), q) for (i, j), q in flow.items() if q > 0)
     total = Fraction(total, scale)
-    entries = {
-        (sources[i], sinks[j]): Fraction(q, scale)
-        for (i, j), q in sorted(flow.items())
-        if q > 0
-    }
-    return total, TransportPlan(entries=entries, cost=total)
+    plan = TransportPlan(
+        entries={c: Fraction(q, scale) for c, q in sorted(entries.items())}, cost=total
+    )
+    return total, plan
 
 
 def verify_plan(plan: TransportPlan, mu, nu, metric: Metric) -> bool:
@@ -275,19 +310,26 @@ def dual_certificate(metric: Metric, mu, nu, primal_cost: Fraction) -> DualCerti
     over the metric: f(z) = min over sink atoms t of d(z, t) - v_t.  A
     minimum of 1-Lipschitz functions is 1-Lipschitz, f >= u on sources and
     f <= -v on sinks, so the dual gap closes exactly; any failure of the
-    final checks signals a solver bug (CertificateGapNonzero).  Inputs are
-    validated as in wasserstein (UnbalancedMeasures, InfiniteDistance).
+    final checks signals a solver bug (CertificateGapNonzero).  The
+    potential is built and checked over both original supports, shared
+    mass included; when nothing is left to move (mu == nu) it is zero.
+    Inputs are validated as in wasserstein (UnbalancedMeasures,
+    InfiniteDistance).
     Costs and duals are integers, so the potential is integer-valued; it is
     empty when both measures have zero total mass.
     """
-    sources, sinks, cost, supply, demand, scale = _problem(metric, mu, nu)
-    _, _, _, v = _solve_transportation(cost, supply, demand)
+    mu_int, nu_int, supply, demand, cost, scale = _problem(metric, mu, nu)
+    _, _, _, v = _solve_transportation(cost, [*supply.values()], [*demand.values()])
 
-    union = sorted(set(sources) | set(sinks))
-    potential = {
-        z: min(d - v_t for d, v_t in zip(row, v))
-        for z, row in zip(union, _cost_matrix(metric, union, sinks))
-    }
+    union = sorted(mu_int.keys() | nu_int.keys())
+    if demand:
+        potential = {
+            z: min(d - v_t for d, v_t in zip(row, v))
+            for z, row in zip(union, _cost_matrix(metric, union, demand))
+        }
+    else:
+        # nothing is left to move (mu == nu), and the zero potential has gap 0
+        potential = dict.fromkeys(union, 0)
 
     for a in union:
         for b in union:
@@ -296,8 +338,8 @@ def dual_certificate(metric: Metric, mu, nu, primal_cost: Fraction) -> DualCerti
                     f"potential violates the Lipschitz bound on ({a}, {b})"
                 )
     value = Fraction(
-        sum(potential[s] * q for s, q in zip(sources, supply))
-        - sum(potential[t] * q for t, q in zip(sinks, demand)),
+        sum(potential[s] * q for s, q in mu_int.items())
+        - sum(potential[t] * q for t, q in nu_int.items()),
         scale,
     )
     if value != primal_cost:

@@ -26,7 +26,7 @@ from itertools import islice
 from typing import Mapping, Optional
 
 from .errors import InternalInconsistency, LoopAlreadyPresent
-from .graph import WeightedGraph, _check_vertices, as_weight
+from .graph import WeightedGraph, _check_vertices, _exact_sum, as_weight
 
 ZERO = Fraction(0)
 
@@ -47,7 +47,7 @@ class ProbMeasure:
                 raise ValueError(f"negative mass {m} at vertex {v}")
             if m > 0:
                 cleaned[v] = m
-        if sum(cleaned.values(), ZERO) != 1:
+        if _exact_sum(cleaned.values()) != 1:
             raise ValueError("masses must sum to exactly 1")
         self._mass = {v: cleaned[v] for v in sorted(cleaned)}
 
@@ -89,9 +89,15 @@ def _step(g: WeightedGraph, mass: Mapping[int, Fraction]) -> dict:
 
 
 def one_step_measure(g: WeightedGraph, x: int) -> ProbMeasure:
-    """m_x: mass w_xy/d_x on each neighbor y (x included iff it has a loop)."""
+    """m_x: mass w_xy/d_x on each neighbor y (x included iff it has a loop).
+
+    Built once per graph object and vertex, then read from the graph's cache.
+    """
     _check_vertices(g, x)
-    return ProbMeasure(_step(g, {x: 1}))
+    measure = g._measures[x]
+    if measure is None:
+        measure = g._measures[x] = ProbMeasure(_step(g, {x: 1}))
+    return measure
 
 
 def _walk_rows(g: WeightedGraph, t: int, sources) -> tuple:

@@ -182,6 +182,10 @@ def test_pair_and_walk_functions_reject_ids_that_are_not_vertices(bad):
 
 def test_degree_symmetry_corpus():
     for _, g in full_corpus():
+        assert all(
+            d == sum(dict(g.neighbor_items(x)).values(), Fraction(0))
+            for x, d in enumerate(g.degrees)
+        )
         total = sum(g.degrees, Fraction(0))
         double = sum(
             (w if u == v else 2 * w for u, v, w in g.edges()), Fraction(0)

@@ -15,6 +15,7 @@ from ricci_spectrum import (
     wasserstein,
 )
 from ricci_spectrum.errors import InfiniteDistance, UnbalancedMeasures
+from ricci_spectrum.transport import _basis_tree, _solve_transportation
 
 from conftest import (
     complete_graph,
@@ -266,3 +267,80 @@ def test_w1_is_a_certified_metric_on_walk_measures_property(g):
         for j in range(n):
             assert w1[i, j] == w1[j, i]
             assert all(w1[i, k] <= w1[i, j] + w1[j, k] for k in range(n))
+
+
+@st.composite
+def integer_transportation_problems(draw):
+    """Cost matrix, supply and demand on at most 5 x 5 cells, with equal totals.
+
+    Masses are small, so partial sums of supply and demand often coincide
+    and the northwest corner and later pivots meet degenerate bases.
+    """
+    supply = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    total = sum(supply)
+    n = draw(st.integers(1, min(5, total)))
+    cut = st.integers(1, max(1, total - 1))
+    cuts = sorted(draw(st.lists(cut, min_size=n - 1, max_size=n - 1, unique=True)))
+    demand = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+    row = st.lists(st.integers(0, 9), min_size=n, max_size=n)
+    cost = draw(st.lists(row, min_size=len(supply), max_size=len(supply)))
+    return cost, supply, demand
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(integer_transportation_problems())
+def test_updated_basis_tree_matches_a_rebuilt_one_property(problem):
+    cost, supply, demand = problem
+    m, n = len(supply), len(demand)
+    total, flow, u, v = _solve_transportation(cost, supply, demand)
+    assert len(flow) == m + n - 1
+    _, pot, _, _ = _basis_tree(list(flow), cost, m, n)
+    assert (u, v) == (pot[:m], pot[m:])
+    assert all(u[i] + v[j] <= cost[i][j] for i in range(m) for j in range(n))
+    assert all(u[i] + v[j] == cost[i][j] for i, j in flow)
+    assert all(sum(flow.get((i, j), 0) for j in range(n)) == supply[i] for i in range(m))
+    assert all(sum(flow.get((i, j), 0) for i in range(m)) == demand[j] for j in range(n))
+    rows, columns = dict(enumerate(supply)), dict(enumerate(demand))
+    assert total == _network_simplex_cost(lambda i, j: cost[i][j], rows, columns)
+
+
+@st.composite
+def overlapping_measures(draw):
+    """A graph and two measures that share support: equal, nested or crossing."""
+    graphs = [g for _, g in full_corpus() if g.n_vertices >= 3]
+    g = draw(st.sampled_from(graphs))
+    vertices = sorted(g.vertices())
+    atoms = st.lists(st.sampled_from(vertices), min_size=1, max_size=3, unique=True)
+    masses = st.integers(1, 9)
+
+    def measure(support):
+        raw = {v: draw(masses) for v in support}
+        return {v: Fraction(q, sum(raw.values())) for v, q in raw.items()}
+
+    mu_support = draw(atoms)
+    kind = draw(st.sampled_from(["equal", "nested", "crossing"]))
+    mu = measure(mu_support)
+    if kind == "equal":
+        return g, mu, dict(mu)
+    if kind == "nested":
+        inner = draw(st.lists(st.sampled_from(mu_support), min_size=1, unique=True))
+        nu = measure(inner)
+        return (g, mu, nu) if draw(st.booleans()) else (g, nu, mu)
+    shared = draw(st.sampled_from(mu_support))
+    return g, mu, measure({shared, *draw(atoms)})
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(overlapping_measures())
+def test_shared_mass_stays_put_property(instance):
+    g, mu, nu = instance
+    cost, plan = wasserstein(g.distance, mu, nu)
+    assert cost == enumerate_transport_optimum(g.distance, mu, nu)
+    stays = {(a, b): q for (a, b), q in plan.entries.items() if a == b}
+    assert stays == {(v, v): min(q, nu[v]) for v, q in mu.items() if v in nu}
+    assert verify_plan(plan, mu, nu, g.distance)
+    f = dual_certificate(g.distance, mu, nu, cost).potential
+    assert f.keys() == mu.keys() | nu.keys()
+    assert all(abs(f[a] - f[b]) <= g.distance(a, b) for a in f for b in f)
+    gap = sum(f[v] * m for v, m in mu.items()) - sum(f[v] * m for v, m in nu.items())
+    assert gap == cost

@@ -58,6 +58,27 @@ def test_two_step_pentagon():
     )
 
 
+def test_one_step_measure_is_built_once_per_graph():
+    for _, g in full_corpus()[:20]:
+        n = g.n_vertices
+        for x in g.vertices():
+            m = one_step_measure(g, x)
+            assert one_step_measure(g, x) is m
+            assert m == ProbMeasure(walk._step(g, {x: 1}))
+        # every slot is filled now, so a wrapped index would find a measure
+        for bad in (-1, n):
+            with pytest.raises(ValueError):
+                one_step_measure(g, bad)
+
+
+def test_prob_measure_checks_masses_exactly():
+    with pytest.raises(ValueError, match="negative"):
+        ProbMeasure({0: Fraction(3, 2), 1: Fraction(-1, 2)})
+    with pytest.raises(ValueError, match="sum to exactly 1"):
+        ProbMeasure({0: Fraction(1, 2), 1: Fraction(1, 2) - Fraction(1, 2**200)})
+    assert ProbMeasure({0: Fraction(1, 3), 1: 0, 2: Fraction(2, 3)}).support == (0, 2)
+
+
 def test_one_step_equals_t1():
     for _, g in full_corpus()[:20]:
         for x in g.vertices():
