@@ -7,8 +7,11 @@ edge (x, x) whose weight counts once in the degree d_x = sum_y w_xy.
 Distances are hop counts (number of edges on a shortest path), independent
 of the weights; loops never shorten a path between distinct vertices.
 
-All arithmetic on weights, degrees and masses uses fractions.Fraction so
-that downstream curvature and transport results are exact.
+Weights, degrees and masses are exact, and each one a function returns is
+a fractions.Fraction.  Inside, the hot paths work on integers over a common
+denominator: each graph scales its weights once, on first use, by the LCM
+of their denominators (``WeightedGraph._integer_weights``), and a value
+becomes a Fraction only when it is returned.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from .errors import (
 UNREACHABLE = math.inf
 
 WeightInput = Union[int, str, Fraction]
+
+ZERO = Fraction(0)
 
 
 def as_weight(value) -> Fraction:
@@ -64,7 +69,7 @@ class WeightedGraph:
     0..N-1 raises IndexError or, if negative, wraps around.
     """
 
-    __slots__ = ("_n", "_adj", "_degrees", "_dist", "_measures")
+    __slots__ = ("_n", "_adj", "_degrees", "_dist", "_measures", "_integers")
 
     def __init__(self, adjacency: Sequence[dict]):
         self._n = len(adjacency)
@@ -76,6 +81,7 @@ class WeightedGraph:
         self._dist: Optional[tuple] = None
         # one-step walk measures, built on demand by walk.one_step_measure
         self._measures: list = [None] * self._n
+        self._integers: Optional[tuple] = None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -88,7 +94,7 @@ class WeightedGraph:
 
     def weight(self, x: int, y: int) -> Fraction:
         """w_xy; zero when x and y are not neighbors."""
-        return self._adj[x].get(y, Fraction(0))
+        return self._adj[x].get(y, ZERO)
 
     def degree(self, x: int) -> Fraction:
         return self._degrees[x]
@@ -111,7 +117,7 @@ class WeightedGraph:
         return x in self._adj[x]
 
     def loop_weight(self, x: int) -> Fraction:
-        return self._adj[x].get(x, Fraction(0))
+        return self._adj[x].get(x, ZERO)
 
     def edges(self) -> Iterator[tuple]:
         """All edges (u, v, w) with u <= v, loops included, sorted."""
@@ -145,6 +151,21 @@ class WeightedGraph:
             f"{type(self).__name__}(n={self._n}, edges={self.edge_count()}, "
             f"loops={self.loop_count()})"
         )
+
+    def _integer_weights(self) -> tuple:
+        """(s, rows, degrees) with rows[x][y] = s*w_xy and degrees[x] = s*d_x.
+
+        s is the LCM of the weight denominators, so every entry is a positive
+        integer.  Built once per graph object, on first use.
+        """
+        if self._integers is None:
+            s = math.lcm(*(w.denominator for _, _, w in self.edges()))
+            rows = tuple(
+                {y: w.numerator * (s // w.denominator) for y, w in nbrs.items()}
+                for nbrs in self._adj
+            )
+            self._integers = s, rows, tuple(sum(row.values()) for row in rows)
+        return self._integers
 
     # -- hop metric -----------------------------------------------------------
 
@@ -299,14 +320,16 @@ def neighbor_partition(g: WeightedGraph, x: int, y: int) -> NeighborhoodPartitio
     if not g.adjacent(x, y):
         raise NotNeighbors(f"{x} and {y} are not neighbors")
 
-    dx, dy = g.degree(x), g.degree(y)
-    nx = set(g.neighbors(x)) - {x, y}
-    ny = set(g.neighbors(y)) - {x, y}
+    _, rows, degrees = g._integer_weights()
+    wx, wy, dx, dy = rows[x], rows[y], degrees[x], degrees[y]
+    nx = wx.keys() - {x, y}
+    ny = wy.keys() - {x, y}
     common = nx & ny
     ge, lt = set(), set()
-    common_min = common_max = Fraction(0)
+    # a common neighbor's masses w_xz/d_x and w_zy/d_y, both times (s*d_x)*(s*d_y)
+    common_min = common_max = 0
     for z in common:
-        mx, my = g.weight(x, z) / dx, g.weight(z, y) / dy
+        mx, my = wx[z] * dy, wy[z] * dx
         (ge if mx >= my else lt).add(z)
         common_min += min(mx, my)
         common_max += max(mx, my)
@@ -317,10 +340,10 @@ def neighbor_partition(g: WeightedGraph, x: int, y: int) -> NeighborhoodPartitio
         n_y1=frozenset(ny - common),
         n_x_ge_y=frozenset(ge),
         n_x_lt_y=frozenset(lt),
-        loop_x=g.loop_weight(x) / dx,
-        loop_y=g.loop_weight(y) / dy,
-        edge_mass_x=g.weight(x, y) / dx,
-        edge_mass_y=g.weight(x, y) / dy,
-        common_min=common_min,
-        common_max=common_max,
+        loop_x=Fraction(wx.get(x, 0), dx),
+        loop_y=Fraction(wy.get(y, 0), dy),
+        edge_mass_x=Fraction(wx[y], dx),
+        edge_mass_y=Fraction(wx[y], dy),
+        common_min=Fraction(common_min, dx * dy),
+        common_max=Fraction(common_max, dx * dy),
     )

@@ -20,12 +20,16 @@ at no cost, since d(v, v) = 0 and d obeys the triangle inequality.  It is
 cancelled before the solve, which then moves only the rest between two
 disjoint supports, and it comes back as (v, v) entries of the plan.
 
-The simplex runs on Python integers only.  Both measures are scaled once by
-the LCM of all their mass denominators, so supply and demand are integers;
-hop distances are integers, so the potentials are too.  Scaling every mass
-by one positive constant changes no pivot choice, so the plan and the duals
-are those of the rational problem, and the cost, the plan entries and the
-dual gap are divided by the scale exactly once at the end.
+The simplex runs on Python integers only.  Each measure comes in integer
+form, its masses as integer numerators over one denominator (a ProbMeasure
+stores that form; a plain mapping is converted once).  Both are scaled to
+the LCM of the two denominators, which is the LCM of all their mass
+denominators, so supply and demand are integers; hop distances are
+integers, so the potentials are too.  Scaling every mass by one positive
+constant changes no pivot choice, so the plan and the duals are those of
+the rational problem.  The cost and the dual gap are divided by the scale
+once at the end, and the plan keeps its integer masses with the scale:
+each entry becomes a Fraction only when it is read.
 
 The same solve yields optimal dual variables, which are tightened over the
 metric into a single 1-Lipschitz potential f with
@@ -38,16 +42,43 @@ giving an independently checkable optimality certificate.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Mapping, Tuple, Union
+from typing import Callable, Dict, Tuple, Union
 
 from .errors import CertificateGapNonzero, InfiniteDistance, UnbalancedMeasures
-from .walk import ProbMeasure
+from .walk import ProbMeasure, _integer_masses
 
 Metric = Callable[[int, int], Union[int, float]]
 
 ZERO = Fraction(0)
+
+
+class _PlanEntries(Mapping):
+    """Read-only (source, sink) -> mass view of an integer plan over its scale.
+
+    Holds the plan's integer masses q and one scale; reading a cell returns
+    the reduced Fraction q / scale, built on each read.  Equal to any mapping
+    with the same entries.
+    """
+
+    __slots__ = ("_flow", "_scale")
+
+    def __init__(self, flow: Dict[Tuple[int, int], int], scale: int):
+        self._flow, self._scale = flow, scale
+
+    def __getitem__(self, cell) -> Fraction:
+        return Fraction(self._flow[cell], self._scale)
+
+    def __iter__(self):
+        return iter(self._flow)
+
+    def __len__(self) -> int:
+        return len(self._flow)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 @dataclass(frozen=True)
@@ -65,17 +96,11 @@ class DualCertificate:
     potential: Mapping[int, Fraction]
 
 
-def _measure_items(measure) -> Dict[int, Fraction]:
+def _integer_form(measure) -> tuple:
+    """A ProbMeasure's or a vertex -> mass mapping's ({v: q * den}, den)."""
     if isinstance(measure, ProbMeasure):
-        return dict(measure.items())
-    out = {}
-    for v, m in measure.items():
-        m = Fraction(m)
-        if m < 0:
-            raise UnbalancedMeasures(f"negative mass {m} at vertex {v}")
-        if m > 0:
-            out[v] = m
-    return out
+        return measure._num, measure._den
+    return _integer_masses(measure, UnbalancedMeasures)
 
 
 def _cost_matrix(metric: Metric, sources, sinks):
@@ -94,15 +119,10 @@ def _problem(metric: Metric, mu, nu):
     disjoint, and cost is the metric on them.
     Returns (mu_int, nu_int, supply, demand, cost, scale).
     """
-    mu_items = _measure_items(mu)
-    nu_items = _measure_items(nu)
-    masses = (*mu_items.values(), *nu_items.values())
-    scale = math.lcm(*(q.denominator for q in masses))
-
-    def scaled(items):
-        return {v: items[v].numerator * (scale // items[v].denominator) for v in sorted(items)}
-
-    mu_int, nu_int = scaled(mu_items), scaled(nu_items)
+    (mu_num, mu_den), (nu_num, nu_den) = _integer_form(mu), _integer_form(nu)
+    scale = math.lcm(mu_den, nu_den)
+    mu_int = {v: q * (scale // mu_den) for v, q in mu_num.items()}
+    nu_int = {v: q * (scale // nu_den) for v, q in nu_num.items()}
     mu_total, nu_total = sum(mu_int.values()), sum(nu_int.values())
     if mu_total != nu_total:
         raise UnbalancedMeasures(
@@ -266,11 +286,12 @@ def wasserstein(metric: Metric, mu, nu) -> Tuple[Fraction, TransportPlan]:
     mu and nu may be ProbMeasure instances or plain vertex->mass mappings;
     both must carry the same total mass (UnbalancedMeasures otherwise) and
     their supports must lie in one metric component (InfiniteDistance).
-    Returns the optimal cost and a plan with only its positive entries; the
-    cost is unique even where the plan is not.  Two measures of zero total
-    mass cost 0 with an empty plan.  The metric is an opaque oracle called
-    on pairs of support vertices, a hot path, so the support vertices are
-    not checked against any graph.
+    Returns the optimal cost and a plan with only its positive entries,
+    held in a read-only mapping that builds each Fraction when it is read;
+    the cost is unique even where the plan is not.  Two measures of zero
+    total mass cost 0 with an empty plan.  The metric is an opaque oracle
+    called on pairs of support vertices, a hot path, so the support
+    vertices are not checked against any graph.
     """
     mu_int, nu_int, supply, demand, cost, scale = _problem(metric, mu, nu)
     total, flow, _, _ = _solve_transportation(cost, [*supply.values()], [*demand.values()])
@@ -278,16 +299,13 @@ def wasserstein(metric: Metric, mu, nu) -> Tuple[Fraction, TransportPlan]:
     entries = {(v, v): min(q, nu_int[v]) for v, q in mu_int.items() if v in nu_int}
     entries.update(((sources[i], sinks[j]), q) for (i, j), q in flow.items() if q > 0)
     total = Fraction(total, scale)
-    plan = TransportPlan(
-        entries={c: Fraction(q, scale) for c, q in sorted(entries.items())}, cost=total
-    )
+    plan = TransportPlan(entries=_PlanEntries(dict(sorted(entries.items())), scale), cost=total)
     return total, plan
 
 
 def verify_plan(plan: TransportPlan, mu, nu, metric: Metric) -> bool:
     """Exact feasibility check: marginals match and the cost recomputes."""
-    mu_items = _measure_items(mu)
-    nu_items = _measure_items(nu)
+    (mu_num, mu_den), (nu_num, nu_den) = _integer_form(mu), _integer_form(nu)
     row = {}
     col = {}
     total = ZERO
@@ -300,7 +318,11 @@ def verify_plan(plan: TransportPlan, mu, nu, metric: Metric) -> bool:
         row[u] = row.get(u, ZERO) + q
         col[v] = col.get(v, ZERO) + q
         total += q * int(d)
-    return row == mu_items and col == nu_items and total == plan.cost
+    return (
+        row == {v: Fraction(q, mu_den) for v, q in mu_num.items()}
+        and col == {v: Fraction(q, nu_den) for v, q in nu_num.items()}
+        and total == plan.cost
+    )
 
 
 def dual_certificate(metric: Metric, mu, nu, primal_cost: Fraction) -> DualCertificate:

@@ -1,9 +1,9 @@
 """Random-walk measures, neighborhood graphs, heat kernel, lazy walks.
 
-The one-step walk from x lands on y with probability m_x(y) = w_xy/d_x.
+The one-step walk from x lands on y with probability m_x(y) = w_xy/d_x; the
+one-step measure is row x of the graph's integer weights over its sum.
 Pushing a measure through one step is mu P(y) = sum_x mu(x) m_x(y); ``_step``
-is the one implementation of P, behind the one-step measure and
-``ProbMeasure.pushforward``.
+is the one implementation of P, behind ``ProbMeasure.pushforward``.
 
 t-step distributions come from ``_walk_rows``, the one implementation of P^t.
 It works on integers: with s the LCM of the weight denominators and L the LCM
@@ -26,55 +26,84 @@ from itertools import islice
 from typing import Mapping, Optional
 
 from .errors import InternalInconsistency, LoopAlreadyPresent
-from .graph import WeightedGraph, _check_vertices, _exact_sum, as_weight
+from .graph import ZERO, WeightedGraph, _check_vertices, as_weight
 
-ZERO = Fraction(0)
+
+def _integer_masses(mass: Mapping, negative=ValueError) -> tuple:
+    """Positive masses as integer numerators over one denominator, the LCM of theirs.
+
+    Returns ({v: q * den}, den), keyed in increasing vertex order; zero
+    masses are dropped.  Masses must be exact (ints, Fractions, or strings
+    that Fraction reads): a float raises TypeError, as it would smuggle
+    binary rounding into exact results, and a negative mass ``negative``.
+    """
+    exact = {}
+    for v, m in mass.items():
+        if isinstance(m, float):
+            raise TypeError(f"masses must be exact (int, Fraction or string), got {m!r} at {v}")
+        m = Fraction(m)
+        if m < 0:
+            raise negative(f"negative mass {m} at vertex {v}")
+        if m > 0:
+            exact[v] = m
+    den = math.lcm(*(q.denominator for q in exact.values()))
+    return {v: exact[v].numerator * (den // exact[v].denominator) for v in sorted(exact)}, den
 
 
 class ProbMeasure:
     """Sparse exact probability measure over vertices.
 
-    Masses are positive Fractions on the support and must sum to one.
+    Masses are positive on the support and must sum to one.  They are stored
+    as integer numerators over one denominator, the LCM of their reduced
+    denominators (see ``_integer_masses``); the accessors return Fractions.
     """
 
-    __slots__ = ("_mass",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, mass: Mapping[int, Fraction]):
-        cleaned = {}
-        for v, m in mass.items():
-            m = Fraction(m)
-            if m < 0:
-                raise ValueError(f"negative mass {m} at vertex {v}")
-            if m > 0:
-                cleaned[v] = m
-        if _exact_sum(cleaned.values()) != 1:
+        num, den = _integer_masses(mass)
+        if sum(num.values()) != den:
             raise ValueError("masses must sum to exactly 1")
-        self._mass = {v: cleaned[v] for v in sorted(cleaned)}
+        self._num, self._den = num, den
+
+    @classmethod
+    def _from_integers(cls, num: Mapping[int, int], den: int) -> "ProbMeasure":
+        """Masses num[v]/den, for positive ints keyed in increasing order that sum to den.
+
+        Dividing out the gcd of den and every numerator leaves the LCM of the
+        reduced denominators, the form ``__init__`` stores.
+        """
+        common = math.gcd(den, *num.values())
+        measure = cls.__new__(cls)
+        measure._num = {v: q // common for v, q in num.items()}
+        measure._den = den // common
+        return measure
 
     @property
     def support(self) -> tuple:
-        return tuple(self._mass)
+        return tuple(self._num)
 
     def mass(self, v: int) -> Fraction:
-        return self._mass.get(v, ZERO)
+        q = self._num.get(v)
+        return ZERO if q is None else Fraction(q, self._den)
 
     def items(self):
-        return self._mass.items()
+        return {v: Fraction(q, self._den) for v, q in self._num.items()}.items()
 
     def pushforward(self, g: WeightedGraph) -> "ProbMeasure":
         """One walk step: (mu P)(y) = sum_x mu(x) w_xy / d_x."""
-        return ProbMeasure(_step(g, self._mass))
+        return ProbMeasure(_step(g, dict(self.items())))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProbMeasure):
             return NotImplemented
-        return self._mass == other._mass
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash(tuple(self._mass.items()))
+        return hash((self._den, tuple(self._num.items())))
 
     def __repr__(self) -> str:
-        inside = ", ".join(f"{v}: {m}" for v, m in self._mass.items())
+        inside = ", ".join(f"{v}: {m}" for v, m in self.items())
         return f"ProbMeasure({{{inside}}})"
 
 
@@ -96,7 +125,8 @@ def one_step_measure(g: WeightedGraph, x: int) -> ProbMeasure:
     _check_vertices(g, x)
     measure = g._measures[x]
     if measure is None:
-        measure = g._measures[x] = ProbMeasure(_step(g, {x: 1}))
+        _, rows, degrees = g._integer_weights()
+        measure = g._measures[x] = ProbMeasure._from_integers(rows[x], degrees[x])
     return measure
 
 
@@ -107,12 +137,7 @@ def _walk_rows(g: WeightedGraph, t: int, sources) -> tuple:
     positive integer on the ends of the length-t walks from x, and the row
     sums to s*d_x*L^(t-1) because every row of M sums to L.
     """
-    s = math.lcm(*(w.denominator for _, _, w in g.edges()))
-    scaled = [
-        {y: w.numerator * (s // w.denominator) for y, w in g.neighbor_items(z)}
-        for z in g.vertices()
-    ]
-    degrees = [sum(row.values()) for row in scaled]
+    s, scaled, degrees = g._integer_weights()
     big = math.lcm(*degrees)
     step = [[(y, big // d * w) for y, w in row.items()] for row, d in zip(scaled, degrees)]
     rows = []

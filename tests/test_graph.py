@@ -150,6 +150,38 @@ def test_partition_triangle_with_loop():
     assert part.n_xy == {2}
 
 
+def _partition_reference(g, x, y):
+    """The partition of an adjacent pair, written from its definition in Fractions."""
+    dx, dy = g.degree(x), g.degree(y)
+    nx = set(g.neighbors(x)) - {x, y}
+    ny = set(g.neighbors(y)) - {x, y}
+    masses = {z: (g.weight(x, z) / dx, g.weight(z, y) / dy) for z in nx & ny}
+    return dict(
+        n_x1=nx - ny,
+        n_y1=ny - nx,
+        n_x_ge_y={z for z, (a, b) in masses.items() if a >= b},
+        n_x_lt_y={z for z, (a, b) in masses.items() if a < b},
+        loop_x=g.loop_weight(x) / dx,
+        loop_y=g.loop_weight(y) / dy,
+        edge_mass_x=g.weight(x, y) / dx,
+        edge_mass_y=g.weight(x, y) / dy,
+        common_min=sum((min(a, b) for a, b in masses.values()), Fraction(0)),
+        common_max=sum((max(a, b) for a, b in masses.values()), Fraction(0)),
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(weighted_graphs(loops=True))
+def test_partition_matches_fraction_reference_property(g):
+    for u, v, _ in g.edges():
+        if u == v:
+            continue
+        for x, y in ((u, v), (v, u)):
+            part = neighbor_partition(g, x, y)
+            reference = _partition_reference(g, x, y)
+            assert {key: getattr(part, key) for key in reference} == reference
+
+
 def test_partition_errors():
     c5 = cycle_graph(5)
     with pytest.raises(NotNeighbors):

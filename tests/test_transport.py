@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -79,7 +80,45 @@ def test_zero_mass_measures_cost_nothing():
         cost, plan = wasserstein(c5.distance, mu, nu)
         assert cost == 0 and isinstance(cost, Fraction)
         assert plan == TransportPlan(entries={}, cost=Fraction(0))
+        assert TransportPlan(entries={}, cost=Fraction(0)) == plan
         assert dual_certificate(c5.distance, mu, nu, cost).potential == {}
+
+
+def test_float_masses_rejected():
+    # a float is no exact mass: 0.5 used to pass silently and 0.1 + 0.9 to fail the balance
+    c5 = cycle_graph(5)
+    for mu, nu in (({0: 0.5, 1: 0.5}, {2: 1.0}), ({0: 0.1, 1: 0.9}, {2: 1})):
+        with pytest.raises(TypeError, match="exact"):
+            wasserstein(c5.distance, mu, nu)
+        with pytest.raises(TypeError, match="exact"):
+            dual_certificate(c5.distance, mu, nu, Fraction(1))
+
+
+def test_plan_entries_read_as_reduced_fractions():
+    for _, g in full_corpus()[:30]:
+        gt = neighborhood_graph(g, 2)
+        for x, y, _ in gt.edges():
+            if x == y:
+                continue
+            mu, nu = one_step_measure(gt, x), one_step_measure(gt, y)
+            cost, plan = wasserstein(gt.distance, mu, nu)
+            # a plain mapping with the same masses solves the same problem
+            plain_mu, plain_nu = dict(mu.items()), dict(nu.items())
+            assert wasserstein(gt.distance, plain_mu, plain_nu) == (cost, plan)
+            assert (
+                dual_certificate(gt.distance, plain_mu, plain_nu, cost)
+                == dual_certificate(gt.distance, mu, nu, cost)
+            )
+            entries = {c: Fraction(q.numerator, q.denominator) for c, q in plan.entries.items()}
+            assert plan.entries == entries and entries == plan.entries
+            assert list(plan.entries) == sorted(entries)
+            assert all(type(q) is Fraction and q > 0 for q in plan.entries.values())
+            assert all(plan.entries[c] == q for c, q in entries.items())
+            assert pickle.loads(pickle.dumps(plan)) == plan
+            assert verify_plan(plan, mu, nu, gt.distance)
+            assert verify_plan(TransportPlan(entries=entries, cost=cost), mu, nu, gt.distance)
+            with pytest.raises(TypeError):
+                plan.entries[next(iter(entries))] = Fraction(0)
 
 
 def test_split_supports_rejected():

@@ -77,6 +77,10 @@ def test_prob_measure_checks_masses_exactly():
     with pytest.raises(ValueError, match="sum to exactly 1"):
         ProbMeasure({0: Fraction(1, 2), 1: Fraction(1, 2) - Fraction(1, 2**200)})
     assert ProbMeasure({0: Fraction(1, 3), 1: 0, 2: Fraction(2, 3)}).support == (0, 2)
+    # floats are not exact: 0.5 + 0.5 used to pass and 0.1 + 0.9 to fail the sum
+    for masses in ({0: 0.5, 1: 0.5}, {0: 0.1, 1: 0.9}, {0: Fraction(1, 2), 1: 0.5}):
+        with pytest.raises(TypeError, match="exact"):
+            ProbMeasure(masses)
 
 
 def test_one_step_equals_t1():
