@@ -337,6 +337,11 @@ def joint_neighbor_bounds(g: WeightedGraph) -> BoundReport:
           lambda_max <= 2 - (w^2/W) sharp_1 / max_x d_x
     * if every edge of G[2] already exists in g:
           lambda_max >= 2 - (W^2/w) sharp_2 / min_x d_x
+
+    The upper bound lies in [2 - N, 2] and applies whenever the lower one
+    does (G[2] has every loop, so then g does).  A lower bound that
+    overflows a float64 is dropped, with its exact value, and the reason
+    says so.
     """
     g2 = neighborhood_graph(g, 2)
     e1, e2 = _edges_as_set(g), _edges_as_set(g2)
@@ -356,20 +361,22 @@ def joint_neighbor_bounds(g: WeightedGraph) -> BoundReport:
         "w_max": w_max,
     }
     lower = upper = None
-    verified = None
+    overflow = ""
     if applies_upper and sharp_min is not None:
         exact_upper = 2 - (w_min * w_min / w_max) * Fraction(sharp_min) / max(g.degrees)
         details["upper_exact"] = exact_upper
         upper = float(exact_upper)
     if applies_lower and sharp_max is not None:
         exact_lower = 2 - (w_max * w_max / w_min) * Fraction(sharp_max) / min(g.degrees)
-        details["lower_exact"] = exact_lower
-        lower = float(exact_lower)
+        try:
+            lower = float(exact_lower)
+            details["lower_exact"] = exact_lower
+        except OverflowError:
+            overflow = "; the exact lower bound overflows a float64"
     applicable = upper is not None or lower is not None
+    verified = _holds(spec.lambda_max, spec.lambda_max, lower, upper) if applicable else None
     if applicable:
-        verified = _holds(spec.lambda_max, spec.lambda_max, lower, upper)
-    if applicable:
-        reason = "edge-set inclusion with the walk graph"
+        reason = "edge-set inclusion with the walk graph" + overflow
     elif sharp_min is None:
         reason = "no adjacent distinct pairs"
     else:

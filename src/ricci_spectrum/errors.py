@@ -59,6 +59,10 @@ class ZeroDenominator(RicciSpectrumError):
     """Rayleigh ratio of a constant eigenfunction."""
 
 
+class OutsideFloatRange(RicciSpectrumError):
+    """An exact weight or degree has no finite, nonzero float64 for the eigensolver."""
+
+
 class InvalidBoundInput(RicciSpectrumError):
     """Caller-supplied eigenvalue bound is impossible for the given parity of t."""
 

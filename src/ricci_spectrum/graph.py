@@ -8,10 +8,9 @@ Distances are hop counts (number of edges on a shortest path), independent
 of the weights; loops never shorten a path between distinct vertices.
 
 Weights, degrees and masses are exact, and each one a function returns is
-a fractions.Fraction.  Inside, the hot paths work on integers over a common
-denominator: each graph scales its weights once, on first use, by the LCM
-of their denominators (``WeightedGraph._integer_weights``), and a value
-becomes a Fraction only when it is returned.
+a fractions.Fraction.  A graph holds its weights once, as positive integers
+over one scale s, the LCM of their reduced denominators, and its degrees as
+the integer row sums; a value becomes a Fraction only when it is read.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     DisconnectedGraph,
@@ -54,34 +53,28 @@ def as_weight(value) -> Fraction:
     return Fraction(value)
 
 
-def _exact_sum(values) -> Fraction:
-    """Sum of a collection of exact values over one denominator, the LCM of theirs."""
-    den = math.lcm(*(q.denominator for q in values))
-    return Fraction(sum(q.numerator * (den // q.denominator) for q in values), den)
-
-
 class WeightedGraph:
-    """Immutable weighted graph with loops.
+    """Immutable weighted graph with loops, held as integers over one scale.
 
-    Construct via :func:`build_graph`; the constructor takes a fully-built
-    adjacency structure and is not meant for direct use.  The accessors sit
-    on every hot path and do not check their vertex ids: an id outside
-    0..N-1 raises IndexError or, if negative, wraps around.
+    Construct via :func:`build_graph`; the constructor takes symmetric rows
+    of positive integers ``rows[x][y] = s*w_xy`` and the scale s, and
+    divides out the gcd of all of them, so equal graphs hold equal state.
+    The accessors sit on every hot path and do not check their vertex ids:
+    an id outside 0..N-1 raises IndexError or, if negative, wraps around.
     """
 
-    __slots__ = ("_n", "_adj", "_degrees", "_dist", "_measures", "_integers")
+    __slots__ = ("_n", "_scale", "_rows", "_degrees", "_dist", "_measures")
 
-    def __init__(self, adjacency: Sequence[dict]):
-        self._n = len(adjacency)
+    def __init__(self, rows: Sequence[Mapping[int, int]], scale: int):
+        common = math.gcd(scale, *(w for row in rows for w in row.values()))
+        self._n = len(rows)
+        self._scale = scale // common
         # sorted neighbor order makes every downstream iteration deterministic
-        self._adj = tuple(
-            {y: adjacency[x][y] for y in sorted(adjacency[x])} for x in range(self._n)
-        )
-        self._degrees = tuple(_exact_sum(nbrs.values()) for nbrs in self._adj)
+        self._rows = tuple({y: row[y] // common for y in sorted(row)} for row in rows)
+        self._degrees = tuple(sum(row.values()) for row in self._rows)
         self._dist: Optional[tuple] = None
         # one-step walk measures, built on demand by walk.one_step_measure
         self._measures: list = [None] * self._n
-        self._integers: Optional[tuple] = None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -94,78 +87,64 @@ class WeightedGraph:
 
     def weight(self, x: int, y: int) -> Fraction:
         """w_xy; zero when x and y are not neighbors."""
-        return self._adj[x].get(y, ZERO)
+        w = self._rows[x].get(y)
+        return ZERO if w is None else Fraction(w, self._scale)
 
     def degree(self, x: int) -> Fraction:
-        return self._degrees[x]
+        return Fraction(self._degrees[x], self._scale)
 
     @property
     def degrees(self) -> tuple:
-        return self._degrees
+        return tuple(Fraction(d, self._scale) for d in self._degrees)
 
     def neighbors(self, x: int) -> Iterator[int]:
         """Vertices adjacent to x, in increasing order (x itself iff loop)."""
-        return iter(self._adj[x])
+        return iter(self._rows[x])
 
     def neighbor_items(self, x: int) -> Iterator[tuple]:
-        return iter(self._adj[x].items())
+        return ((y, Fraction(w, self._scale)) for y, w in self._rows[x].items())
 
     def adjacent(self, x: int, y: int) -> bool:
-        return y in self._adj[x]
+        return y in self._rows[x]
 
     def has_loop(self, x: int) -> bool:
-        return x in self._adj[x]
+        return x in self._rows[x]
 
     def loop_weight(self, x: int) -> Fraction:
-        return self._adj[x].get(x, ZERO)
+        return self.weight(x, x)
 
     def edges(self) -> Iterator[tuple]:
         """All edges (u, v, w) with u <= v, loops included, sorted."""
-        for u in range(self._n):
-            for v, w in self._adj[u].items():
+        for u, row in enumerate(self._rows):
+            for v, w in row.items():
                 if v >= u:
-                    yield (u, v, w)
+                    yield (u, v, Fraction(w, self._scale))
 
     def edge_count(self) -> int:
         """Number of distinct-vertex edges (loops not counted)."""
-        return sum(1 for u, v, _ in self.edges() if u != v)
+        return (sum(map(len, self._rows)) - self.loop_count()) // 2
 
     def loop_count(self) -> int:
         return sum(1 for x in range(self._n) if self.has_loop(x))
 
     def uniform_weight(self) -> Optional[Fraction]:
         """The common weight if every edge (loops included) carries the same one."""
-        values = {w for _, _, w in self.edges()}
-        return values.pop() if len(values) == 1 else None
+        values = {w for row in self._rows for w in row.values()}
+        return Fraction(values.pop(), self._scale) if len(values) == 1 else None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):
             return NotImplemented
-        return self._n == other._n and self._adj == other._adj
+        return self._scale == other._scale and self._rows == other._rows
 
     def __hash__(self):
-        return hash((self._n, tuple(tuple(a.items()) for a in self._adj)))
+        return hash((self._scale, tuple(tuple(row.items()) for row in self._rows)))
 
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(n={self._n}, edges={self.edge_count()}, "
             f"loops={self.loop_count()})"
         )
-
-    def _integer_weights(self) -> tuple:
-        """(s, rows, degrees) with rows[x][y] = s*w_xy and degrees[x] = s*d_x.
-
-        s is the LCM of the weight denominators, so every entry is a positive
-        integer.  Built once per graph object, on first use.
-        """
-        if self._integers is None:
-            s = math.lcm(*(w.denominator for _, _, w in self.edges()))
-            rows = tuple(
-                {y: w.numerator * (s // w.denominator) for y, w in nbrs.items()}
-                for nbrs in self._adj
-            )
-            self._integers = s, rows, tuple(sum(row.values()) for row in rows)
-        return self._integers
 
     # -- hop metric -----------------------------------------------------------
 
@@ -183,7 +162,7 @@ class WeightedGraph:
                 queue = deque([s])
                 while queue:
                     u = queue.popleft()
-                    for v in self._adj[u]:
+                    for v in self._rows[u]:
                         if row[v] == UNREACHABLE:
                             row[v] = row[u] + 1
                             queue.append(v)
@@ -277,19 +256,18 @@ def build_graph(edges: Iterable) -> WeightedGraph:
         raise EmptyGraph("no edges supplied")
 
     n = max_id + 1
-    adjacency = [dict() for _ in range(n)]
+    scale = math.lcm(*(w.denominator for _, _, w in triples))
+    rows = [dict() for _ in range(n)]
     for u, v, w in triples:
-        adjacency[u][v] = w
-        if u != v:
-            adjacency[v][u] = w
+        rows[u][v] = rows[v][u] = w.numerator * (scale // w.denominator)
 
-    missing = [x for x in range(n) if not adjacency[x]]
+    missing = [x for x in range(n) if not rows[x]]
     if missing:
         raise ValueError(
             f"vertex ids must form a dense range 0..{n - 1}; "
             f"no edges touch {missing} (relabel the input)"
         )
-    return WeightedGraph(adjacency)
+    return WeightedGraph(rows, scale)
 
 
 def is_bipartite(g: WeightedGraph):
@@ -320,8 +298,7 @@ def neighbor_partition(g: WeightedGraph, x: int, y: int) -> NeighborhoodPartitio
     if not g.adjacent(x, y):
         raise NotNeighbors(f"{x} and {y} are not neighbors")
 
-    _, rows, degrees = g._integer_weights()
-    wx, wy, dx, dy = rows[x], rows[y], degrees[x], degrees[y]
+    wx, wy, dx, dy = g._rows[x], g._rows[y], g._degrees[x], g._degrees[y]
     nx = wx.keys() - {x, y}
     ny = wy.keys() - {x, y}
     common = nx & ny

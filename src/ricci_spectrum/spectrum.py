@@ -20,7 +20,7 @@ from typing import List
 
 import numpy as np
 
-from .errors import ZeroDenominator
+from .errors import OutsideFloatRange, ZeroDenominator
 from .graph import WeightedGraph
 from .walk import neighborhood_graph
 
@@ -47,27 +47,38 @@ class EigenPair:
     eigenfunction: np.ndarray
 
 
-def _symmetric_conjugate(g: WeightedGraph) -> np.ndarray:
-    n = g.n_vertices
-    w = np.zeros((n, n))
-    for u, v, wt in g.edges():
-        w[u, v] = float(wt)
-        w[v, u] = float(wt)
-    dinv = 1.0 / np.sqrt(np.array([float(d) for d in g.degrees]))
-    return dinv[:, None] * w * dinv[None, :]
+def _symmetric_conjugate(g: WeightedGraph) -> tuple:
+    """S = D^{-1/2} W D^{-1/2} and D^{-1/2}, from the integer w/s and d/s.
+
+    Each int/int true division is correctly rounded, like float(Fraction).
+    Raises OutsideFloatRange unless every degree is a positive float64
+    (then S is finite, as w_xy <= d_x).
+    """
+    s = g._scale
+    w = np.zeros((g.n_vertices, g.n_vertices))
+    try:
+        for u, row in enumerate(g._rows):
+            w[u, list(row)] = [wt / s for wt in row.values()]
+        degrees = np.array([d / s for d in g._degrees])
+    except OverflowError:
+        raise OutsideFloatRange("a weight or degree is too large for a float64") from None
+    if not degrees.all():
+        raise OutsideFloatRange("a degree is too small for a float64: it rounds to 0")
+    dinv = 1.0 / np.sqrt(degrees)
+    return dinv[:, None] * w * dinv[None, :], dinv
 
 
 def spectrum(g: WeightedGraph) -> Spectrum:
     """Eigenvalues of Delta, ascending (float64, LAPACK symmetric solver)."""
-    vals = np.linalg.eigvalsh(_symmetric_conjugate(g))
+    vals = np.linalg.eigvalsh(_symmetric_conjugate(g)[0])
     return Spectrum(eigenvalues=np.sort(1.0 - vals))
 
 
 def eigenpairs(g: WeightedGraph) -> List[EigenPair]:
     """Full decomposition with mu-orthonormal eigenfunctions, ascending."""
-    vals, vecs = np.linalg.eigh(_symmetric_conjugate(g))
+    conjugate, dinv = _symmetric_conjugate(g)
+    vals, vecs = np.linalg.eigh(conjugate)
     lams = 1.0 - vals
-    dinv = 1.0 / np.sqrt(np.array([float(d) for d in g.degrees]))
     order = np.argsort(lams, kind="stable")
     return [
         EigenPair(eigenvalue=float(lams[i]), eigenfunction=dinv * vecs[:, i])

@@ -6,10 +6,11 @@ Pushing a measure through one step is mu P(y) = sum_x mu(x) m_x(y); ``_step``
 is the one implementation of P, behind ``ProbMeasure.pushforward``.
 
 t-step distributions come from ``_walk_rows``, the one implementation of P^t.
-It works on integers: with s the LCM of the weight denominators and L the LCM
-of the scaled degrees s*d_x, both W_s = s*W and M = L*D^-1*W are integer
-matrices, and s*L^(t-1)*W[t] = W_s*M^(t-1).  Each row is t-1 sparse integer
-vector-matrix products, and each weight becomes one Fraction at the end.
+It works on the graph's integers: with s its scale and L the LCM of the
+scaled degrees s*d_x, both W_s = s*W and M = L*D^-1*W are integer matrices,
+and s*L^(t-1)*W[t] = W_s*M^(t-1).  Each row is t-1 sparse integer
+vector-matrix products, and G[t] takes the rows with their scale
+s*L^(t-1) as they are, so no weight becomes a Fraction on the way.
 
 The t-th neighborhood graph G[t] keeps the vertex set and sets
 w_xy[t] = (t-step probability x -> y) * d_x.  Degrees are preserved
@@ -26,7 +27,7 @@ from itertools import islice
 from typing import Mapping, Optional
 
 from .errors import InternalInconsistency, LoopAlreadyPresent
-from .graph import ZERO, WeightedGraph, _check_vertices, as_weight
+from .graph import ZERO, WeightedGraph, _check_vertices, as_weight, build_graph
 
 
 def _integer_masses(mass: Mapping, negative=ValueError) -> tuple:
@@ -125,8 +126,7 @@ def one_step_measure(g: WeightedGraph, x: int) -> ProbMeasure:
     _check_vertices(g, x)
     measure = g._measures[x]
     if measure is None:
-        _, rows, degrees = g._integer_weights()
-        measure = g._measures[x] = ProbMeasure._from_integers(rows[x], degrees[x])
+        measure = g._measures[x] = ProbMeasure._from_integers(g._rows[x], g._degrees[x])
     return measure
 
 
@@ -137,12 +137,11 @@ def _walk_rows(g: WeightedGraph, t: int, sources) -> tuple:
     positive integer on the ends of the length-t walks from x, and the row
     sums to s*d_x*L^(t-1) because every row of M sums to L.
     """
-    s, scaled, degrees = g._integer_weights()
-    big = math.lcm(*degrees)
-    step = [[(y, big // d * w) for y, w in row.items()] for row, d in zip(scaled, degrees)]
+    big = math.lcm(*g._degrees)
+    step = [[(y, big // d * w) for y, w in row.items()] for row, d in zip(g._rows, g._degrees)]
     rows = []
     for x in sources:
-        row = scaled[x]
+        row = g._rows[x]
         for _ in range(t - 1):
             out = {}
             for z, mass in row.items():
@@ -150,7 +149,7 @@ def _walk_rows(g: WeightedGraph, t: int, sources) -> tuple:
                     out[y] = out.get(y, 0) + mass * w
             row = out
         rows.append(row)
-    return rows, s * big ** (t - 1)
+    return rows, g._scale * big ** (t - 1)
 
 
 def t_step_measure(g: WeightedGraph, x: int, t: int) -> ProbMeasure:
@@ -159,8 +158,7 @@ def t_step_measure(g: WeightedGraph, x: int, t: int) -> ProbMeasure:
         raise ValueError(f"t must be >= 1, got {t}")
     _check_vertices(g, x)
     (row,), den = _walk_rows(g, t, (x,))
-    scale = g.degree(x) * den
-    return ProbMeasure({y: w / scale for y, w in row.items()})
+    return ProbMeasure._from_integers(dict(sorted(row.items())), g._degrees[x] * den // g._scale)
 
 
 def _reaches(g: WeightedGraph):
@@ -187,13 +185,13 @@ def neighborhood_graph(g: WeightedGraph, t: int) -> WeightedGraph:
     for x, row in enumerate(rows):
         if row.keys() != reach[x] or not all(w > 0 for w in row.values()):
             raise InternalInconsistency(f"walk support from {x} disagrees with reachability")
-        if sum(row.values()) != g.degree(x) * den:
+        if sum(row.values()) != g._degrees[x] * den // g._scale:
             raise InternalInconsistency(f"t-step weights from {x} do not sum to its degree")
         for y, w in row.items():
             # reversibility: d_x * P^t(x, y) == d_y * P^t(y, x)
             if rows[y].get(x) != w:
                 raise InternalInconsistency(f"t-step weights of ({x}, {y}) are not symmetric")
-    return WeightedGraph([{y: Fraction(w, den) for y, w in row.items()} for row in rows])
+    return WeightedGraph(rows, den)
 
 
 def heat_kernel(g: WeightedGraph, t: int, x: int, y: int) -> Fraction:
@@ -219,14 +217,14 @@ def lazy_graph(g: WeightedGraph, laziness) -> WeightedGraph:
         a = as_weight(laziness)
         alpha = {x: a for x in g.vertices()}
 
-    adjacency = [dict(g._adj[x]) for x in g.vertices()]
+    edges = list(g.edges())
     for x, a in alpha.items():
         _check_vertices(g, x)
         if not 0 <= a < 1:
             raise ValueError(f"laziness at {x} must lie in [0, 1), got {a}")
         if a > 0:
-            adjacency[x][x] = g.degree(x) * a / (1 - a)
-    return WeightedGraph(adjacency)
+            edges.append((x, x, g.degree(x) * a / (1 - a)))
+    return build_graph(edges)
 
 
 def first_complete_t(g: WeightedGraph, t_max: int) -> Optional[int]:

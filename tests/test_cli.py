@@ -184,3 +184,26 @@ def test_walk_graph_inconsistency_exits_internal(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path, "c5.edges", C5_TEXT)
     assert main(["neighborhood", path, "--t", "2"]) == EXIT_INTERNAL
     assert "reachability" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weight", ["1e400", "1e-400"])
+def test_weights_outside_float_range_exit_graph(tmp_path, capsys, weight):
+    # 1e400 overflows a float64; at 1e-400 the degrees underflow to 0.0
+    path = _write(tmp_path, "range.edges", f"a b {weight}\n")
+    assert main(["spectrum", path, "--format", "json"]) == EXIT_GRAPH
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "float64" in captured.err
+
+
+@pytest.mark.parametrize("mode", ["--exact", "--float"])
+def test_joint_neighbor_bound_outside_float_range_is_dropped(tmp_path, capsys, mode):
+    # every edge persists in G[2] and back, but (W^2/w) sharp_2 / min d is about 1e900
+    text = "a b 1e300\nb c 1e-300\na c 1\na a 1\nb b 1\nc c 1\n"
+    path = _write(tmp_path, "wide.edges", text)
+    assert main(["bounds", path, "--t-max", "2", "--format", "json", mode]) == EXIT_OK
+    joint = json.loads(capsys.readouterr().out)["sections"]["bounds"]["joint_neighbors"]
+    assert joint["lower"] is None and "lower_exact" not in joint["details"]
+    assert joint["reason"].endswith("the exact lower bound overflows a float64")
+    assert joint["applicable"] is True and joint["upper"] == 2.0 and joint["verified"] is True

@@ -10,6 +10,7 @@ from ricci_spectrum import (
     build_graph,
     heat_kernel,
     is_bipartite,
+    lazy_graph,
     lower_bound_formula,
     neighbor_partition,
     neighborhood_graph,
@@ -180,6 +181,45 @@ def test_partition_matches_fraction_reference_property(g):
             part = neighbor_partition(g, x, y)
             reference = _partition_reference(g, x, y)
             assert {key: getattr(part, key) for key in reference} == reference
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(weighted_graphs(loops=True))
+def test_equal_graphs_compare_and_hash_equal_property(g):
+    edges = list(g.edges())
+    bare = build_graph([(u, v, w) for u, v, w in edges if u != v])
+    g2 = neighborhood_graph(g, 2)
+    pairs = [
+        # an unreduced ratio string and a Fraction of the same value
+        (build_graph([(u, v, f"{2 * w.numerator}/{2 * w.denominator}") for u, v, w in edges]),
+         build_graph([(u, v, Fraction(2 * w.numerator, 2 * w.denominator)) for u, v, w in edges])),
+        (build_graph(edges), g),
+        (neighborhood_graph(g, 1), g),
+        # G[2] comes from the walk kernel over s*L, rebuilding it from its weights
+        (build_graph(list(g2.edges())), g2),
+        (lazy_graph(bare, 0), bare),
+        (lazy_graph(bare, Fraction(1, 2)),
+         build_graph([*bare.edges(), *((x, x, bare.degree(x)) for x in bare.vertices())])),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(weighted_graphs(loops=True))
+def test_weight_and_degree_accessors_return_fractions_property(g):
+    for h in (g, neighborhood_graph(g, 2)):
+        assert all(type(d) is Fraction for d in h.degrees)
+        assert all(type(w) is Fraction for _, _, w in h.edges())
+        for x in h.vertices():
+            assert type(h.degree(x)) is Fraction and type(h.loop_weight(x)) is Fraction
+            assert all(type(h.weight(x, y)) is Fraction for y in h.vertices())
+            items = list(h.neighbor_items(x))
+            assert all(type(w) is Fraction for _, w in items)
+            assert sum(w for _, w in items) == h.degree(x) == h.degrees[x]
+    weight = next(g.edges())[2]
+    uniform = build_graph([(u, v, weight) for u, v, _ in g.edges()]).uniform_weight()
+    assert type(uniform) is Fraction and uniform == weight
 
 
 def test_partition_errors():

@@ -23,6 +23,8 @@ from ricci_spectrum.tolerances import (
 )
 
 from conftest import complete_graph, cycle_graph, full_corpus, lazy_complete, weighted_graphs
+from record_goldens import golden_inputs
+from ricci_spectrum.cli import parse_edge_list
 
 
 def test_pentagon_spectrum():
@@ -163,3 +165,29 @@ def test_rational_weight_spectrum_stays_in_range():
     g = build_graph([(0, 1, "1/3"), (1, 2, "4/5"), (0, 2, "2/7"), (1, 1, "1/2")])
     ev = spectrum(g).eigenvalues
     assert ev[0] > -EIGENVALUE_TOL and ev[-1] < 2 + EIGENVALUE_TOL
+
+
+def _reference_conjugate(g):
+    """D^{-1/2} W D^{-1/2} and D^{-1/2}, from float(Fraction) weights and degrees."""
+    w = np.zeros((g.n_vertices, g.n_vertices))
+    for u, v, wt in g.edges():
+        w[u, v] = w[v, u] = float(wt)
+    dinv = 1.0 / np.sqrt(np.array([float(d) for d in g.degrees]))
+    return dinv[:, None] * w * dinv[None, :], dinv
+
+
+def test_spectra_bit_identical_to_fraction_reference():
+    """Reading w/s and d/s from the integers rounds each value exactly once."""
+    for name, text in sorted(golden_inputs().items()):
+        g, _ = parse_edge_list(text)
+        for t in range(1, 9):
+            gt = neighborhood_graph(g, t)
+            conjugate, dinv = _reference_conjugate(gt)
+            lams = 1.0 - np.linalg.eigvalsh(conjugate)
+            assert np.array_equal(spectrum(gt).eigenvalues, np.sort(lams)), (name, t)
+            vals, vecs = np.linalg.eigh(conjugate)
+            order = np.argsort(1.0 - vals, kind="stable")
+            pairs = eigenpairs(gt)
+            assert [p.eigenvalue for p in pairs] == [float(1.0 - vals[i]) for i in order]
+            for pair, i in zip(pairs, order):
+                assert np.array_equal(pair.eigenfunction, dinv * vecs[:, i]), (name, t)

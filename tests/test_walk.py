@@ -350,8 +350,11 @@ def test_walk_graph_consistency_checks_survive_optimize():
         PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
         PYTEST_DISABLE_PLUGIN_AUTOLOAD="1",  # the test needs no plugin; they load slowly
     )
+    # pytest warns that -O strips asserts, which is the point here; the
+    # filterwarnings = ["error"] setting would turn that warning into a failure
     result = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-W", "ignore:assertions not in test modules:pytest.PytestConfigWarning",
          f"{__file__}::test_walk_graph_consistency_checks_raise"],
         env=env, capture_output=True, text=True, timeout=300,
     )
