@@ -460,7 +460,7 @@ def metric_audit(g: WeightedGraph, t: int) -> MetricAudit:
             d, dt = dist[x][y], dist_t[x][y]
             if math.isinf(dt):
                 continue
-            if math.isinf(d) or Fraction(d, t) > dt:
+            if math.isinf(d) or d > t * dt:
                 lower_holds = False
     edge_subset = _edges_as_set(g) <= _edges_as_set(gt)
     upper_holds = None

@@ -11,6 +11,9 @@ mu(x) = d_x).
 The t-th neighborhood graph satisfies the operator identity
 id - (id - Delta)^t = Delta[t], so its spectrum is {1 - (1 - lambda)^t};
 verify_transfer_identity measures the deviation of the two computations.
+
+Every float step reads W and the degrees through ``_float_weights``, which
+raises OutsideFloatRange when they leave the float64 range.
 """
 
 from __future__ import annotations
@@ -47,12 +50,12 @@ class EigenPair:
     eigenfunction: np.ndarray
 
 
-def _symmetric_conjugate(g: WeightedGraph) -> tuple:
-    """S = D^{-1/2} W D^{-1/2} and D^{-1/2}, from the integer w/s and d/s.
+def _float_weights(g: WeightedGraph) -> tuple:
+    """W and the degrees as float64, from the integer w/s and d/s.
 
     Each int/int true division is correctly rounded, like float(Fraction).
     Raises OutsideFloatRange unless every degree is a positive float64
-    (then S is finite, as w_xy <= d_x).
+    (then every weight is finite, as w_xy <= d_x).
     """
     s = g._scale
     w = np.zeros((g.n_vertices, g.n_vertices))
@@ -64,6 +67,12 @@ def _symmetric_conjugate(g: WeightedGraph) -> tuple:
         raise OutsideFloatRange("a weight or degree is too large for a float64") from None
     if not degrees.all():
         raise OutsideFloatRange("a degree is too small for a float64: it rounds to 0")
+    return w, degrees
+
+
+def _symmetric_conjugate(g: WeightedGraph) -> tuple:
+    """S = D^{-1/2} W D^{-1/2} and D^{-1/2}."""
+    w, degrees = _float_weights(g)
     dinv = 1.0 / np.sqrt(degrees)
     return dinv[:, None] * w * dinv[None, :], dinv
 
@@ -87,12 +96,9 @@ def eigenpairs(g: WeightedGraph) -> List[EigenPair]:
 
 
 def laplacian_apply(g: WeightedGraph, f: np.ndarray) -> np.ndarray:
-    """Delta f as a float vector (handy for residual checks)."""
-    out = np.empty(g.n_vertices)
-    for x in g.vertices():
-        dx = float(g.degree(x))
-        out[x] = sum(f[y] * float(wy) for y, wy in g.neighbor_items(x)) / dx - f[x]
-    return out
+    """Delta f = W f / d - f as a float vector (handy for residual checks)."""
+    w, degrees = _float_weights(g)
+    return w @ f / degrees - f
 
 
 def verify_transfer_identity(g: WeightedGraph, t: int) -> float:
@@ -108,11 +114,8 @@ def verify_transfer_identity(g: WeightedGraph, t: int) -> float:
 
 def _dirichlet_form(g: WeightedGraph, u: np.ndarray) -> float:
     """sum_{x,y} w_xy (u(x) - u(y))^2 over ordered pairs; loops drop out."""
-    total = 0.0
-    for a, b, w in g.edges():
-        if a != b:
-            total += 2.0 * float(w) * (u[a] - u[b]) ** 2
-    return total
+    w, _ = _float_weights(g)
+    return float(np.sum(w * np.subtract.outer(u, u) ** 2))
 
 
 def rayleigh_ratio(g: WeightedGraph, u: np.ndarray) -> float:

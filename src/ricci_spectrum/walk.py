@@ -2,15 +2,14 @@
 
 The one-step walk from x lands on y with probability m_x(y) = w_xy/d_x; the
 one-step measure is row x of the graph's integer weights over its sum.
-Pushing a measure through one step is mu P(y) = sum_x mu(x) m_x(y); ``_step``
-is the one implementation of P, behind ``ProbMeasure.pushforward``.
 
-t-step distributions come from ``_walk_rows``, the one implementation of P^t.
-It works on the graph's integers: with s its scale and L the LCM of the
-scaled degrees s*d_x, both W_s = s*W and M = L*D^-1*W are integer matrices,
-and s*L^(t-1)*W[t] = W_s*M^(t-1).  Each row is t-1 sparse integer
-vector-matrix products, and G[t] takes the rows with their scale
-s*L^(t-1) as they are, so no weight becomes a Fraction on the way.
+P works on the graph's integers: with s its scale and L the LCM of the
+scaled degrees s*d_x, W_s = s*W and M = L*D^-1*W = L*P are integer
+matrices.  ``_times_step``, a sparse integer row times M, is the one
+implementation of P: ``ProbMeasure.pushforward`` is one product on a
+measure's numerators, over den*L, and ``_walk_rows`` gives the rows
+s*L^(t-1)*W[t] = W_s*M^(t-1) that G[t] keeps with their scale s*L^(t-1),
+so no mass or weight becomes a Fraction on the way.
 
 The t-th neighborhood graph G[t] keeps the vertex set and sets
 w_xy[t] = (t-step probability x -> y) * d_x.  Degrees are preserved
@@ -92,8 +91,11 @@ class ProbMeasure:
         return {v: Fraction(q, self._den) for v, q in self._num.items()}.items()
 
     def pushforward(self, g: WeightedGraph) -> "ProbMeasure":
-        """One walk step: (mu P)(y) = sum_x mu(x) w_xy / d_x."""
-        return ProbMeasure(_step(g, dict(self.items())))
+        """One walk step, (mu P)(y) = sum_x mu(x) w_xy / d_x; ValueError off g's vertices."""
+        _check_vertices(g, *self._num)
+        big = math.lcm(*g._degrees)
+        out = _times_step(g, self._num, big)
+        return ProbMeasure._from_integers(dict(sorted(out.items())), self._den * big)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProbMeasure):
@@ -108,13 +110,13 @@ class ProbMeasure:
         return f"ProbMeasure({{{inside}}})"
 
 
-def _step(g: WeightedGraph, mass: Mapping[int, Fraction]) -> dict:
-    """y -> sum_v mass(v) w_vy / d_v; keeps the total mass and every mass positive."""
+def _times_step(g: WeightedGraph, row: Mapping[int, int], big: int) -> dict:
+    """row * M for M = big*D^-1*W_s, big the LCM of the scaled degrees; sums to big*sum(row)."""
     out = {}
-    for v, m in mass.items():
-        share = m / g.degree(v)
-        for y, w in g.neighbor_items(v):
-            out[y] = out[y] + share * w if y in out else share * w
+    for z, mass in row.items():
+        mass *= big // g._degrees[z]
+        for y, w in g._rows[z].items():
+            out[y] = out.get(y, 0) + mass * w
     return out
 
 
@@ -138,16 +140,11 @@ def _walk_rows(g: WeightedGraph, t: int, sources) -> tuple:
     sums to s*d_x*L^(t-1) because every row of M sums to L.
     """
     big = math.lcm(*g._degrees)
-    step = [[(y, big // d * w) for y, w in row.items()] for row, d in zip(g._rows, g._degrees)]
     rows = []
     for x in sources:
         row = g._rows[x]
         for _ in range(t - 1):
-            out = {}
-            for z, mass in row.items():
-                for y, w in step[z]:
-                    out[y] = out.get(y, 0) + mass * w
-            row = out
+            row = _times_step(g, row, big)
         rows.append(row)
     return rows, g._scale * big ** (t - 1)
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from ricci_spectrum import (
+    ProbMeasure,
     UNREACHABLE,
     build_graph,
     heat_kernel,
@@ -246,6 +247,7 @@ def test_pair_and_walk_functions_reject_ids_that_are_not_vertices(bad):
         lambda: upper_bound_formula(c5, 0, bad),
         lambda: neighbor_partition(c5, bad, 0),
         lambda: sharpness_case(c5, 0, bad),
+        lambda: ProbMeasure({bad: 1}).pushforward(c5),
     )
     for call in calls:
         with pytest.raises(ValueError):

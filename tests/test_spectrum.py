@@ -15,7 +15,7 @@ from ricci_spectrum import (
     verify_transfer_identity,
 )
 from ricci_spectrum.spectrum import spectrum
-from ricci_spectrum.errors import ZeroDenominator
+from ricci_spectrum.errors import OutsideFloatRange, ZeroDenominator
 from ricci_spectrum.tolerances import (
     EIGENVALUE_TOL,
     RAYLEIGH_TOL,
@@ -191,3 +191,35 @@ def test_spectra_bit_identical_to_fraction_reference():
             assert [p.eigenvalue for p in pairs] == [float(1.0 - vals[i]) for i in order]
             for pair, i in zip(pairs, order):
                 assert np.array_equal(pair.eigenfunction, dinv * vecs[:, i]), (name, t)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0, 1, "1e400"), (1, 2, 1), (0, 2, 1)],
+        [(0, 1, "1e-400"), (1, 2, "1e-400"), (0, 2, "1e-400")],
+    ],
+    ids=["overflow", "underflow"],
+)
+def test_float_steps_reject_weights_outside_float_range(edges):
+    # the first used to raise a bare OverflowError; on the second, whose
+    # degrees round to 0, laplacian_apply returned NaN and rayleigh_ratio
+    # raised ZeroDenominator
+    g = build_graph(edges)
+    u = np.array([1.0, -1.0, 0.0])
+    with pytest.raises(OutsideFloatRange):
+        laplacian_apply(g, u)
+    with pytest.raises(OutsideFloatRange):
+        rayleigh_ratio(g, u)
+
+
+def test_laplacian_apply_matches_fraction_row_sums_on_goldens():
+    rng = np.random.default_rng(0)
+    for name, text in sorted(golden_inputs().items()):
+        g, _ = parse_edge_list(text)
+        f = rng.standard_normal(g.n_vertices)
+        expected = [
+            sum(f[y] * float(w) for y, w in g.neighbor_items(x)) / float(g.degree(x)) - f[x]
+            for x in g.vertices()
+        ]
+        assert np.max(np.abs(laplacian_apply(g, f) - expected)) < EIGENVALUE_TOL, name

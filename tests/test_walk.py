@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ricci_spectrum import (
     ProbMeasure,
@@ -31,6 +32,16 @@ from conftest import (
     random_corpus,
     weighted_graphs,
 )
+
+
+def _fraction_step(g, mass):
+    """y -> sum_v mass(v) w_vy / d_v in Fraction arithmetic: the oracle for P."""
+    out = {}
+    for v, m in mass.items():
+        share = Fraction(m) / g.degree(v)
+        for y, w in g.neighbor_items(v):
+            out[y] = out.get(y, 0) + share * w
+    return out
 
 
 def test_one_step_pentagon():
@@ -64,11 +75,28 @@ def test_one_step_measure_is_built_once_per_graph():
         for x in g.vertices():
             m = one_step_measure(g, x)
             assert one_step_measure(g, x) is m
-            assert m == ProbMeasure(walk._step(g, {x: 1}))
+            assert m == ProbMeasure(_fraction_step(g, {x: 1}))
         # every slot is filled now, so a wrapped index would find a measure
         for bad in (-1, n):
             with pytest.raises(ValueError):
                 one_step_measure(g, bad)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.data())
+def test_pushforward_matches_fraction_step_property(data):
+    # multi-vertex measures, not only point masses, through 1-3 steps
+    g = data.draw(weighted_graphs(loops=True))
+    support = data.draw(st.lists(st.sampled_from(range(g.n_vertices)), min_size=1, unique=True))
+    weights = data.draw(st.lists(st.integers(1, 7), min_size=len(support), max_size=len(support)))
+    mass = {v: Fraction(w, sum(weights)) for v, w in zip(support, weights)}
+    mu = ProbMeasure(mass)
+    for _ in range(data.draw(st.integers(1, 3))):
+        mass = _fraction_step(g, mass)
+        assert sum(mass.values()) == 1
+        mu = mu.pushforward(g)
+        assert mu == ProbMeasure(mass)
+        assert dict(mu.items()) == mass
 
 
 def test_prob_measure_checks_masses_exactly():
