@@ -37,7 +37,7 @@ g2 = neighborhood_graph(pentagon, 2)
 print("\nG[2] edges (loops included):")
 for u, v, w in g2.edges():
     print(f"  {u} {v}  weight {w}")
-print("k[2] =", global_lower_bound(g2, "exact"))
+print("k[2] =", global_lower_bound(g2))
 
 # Scanning t = 1..6 produces a shrinking bracket around the spectrum:
 # lower = 1 - (1 - k[t])^(1/t), upper = 1 + (1 - k[t])^(1/t).

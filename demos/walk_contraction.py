@@ -20,7 +20,7 @@ pentagon = build_graph([(i, (i + 1) % 5, 1) for i in range(5)])
 
 # k = 1/2 on the triangle: walk distributions approach each other by at
 # least a factor 1/2 per step, and the worst observed ratio confirms it.
-print("triangle k =", global_lower_bound(triangle, "exact"))
+print("triangle k =", global_lower_bound(triangle))
 audit = contraction_audit(triangle, 4)
 print(f"contraction: passed={audit.passed}, worst ratio={audit.max_ratio} "
       f"at (x, y, t)={audit.witness}")

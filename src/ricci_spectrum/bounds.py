@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .curvature import global_lower_bound, ricci_curvature
+from .curvature import global_lower_bound, lower_bound_formula, ricci_curvature
 from .errors import InvalidBoundInput
-from .graph import WeightedGraph, neighbor_partition
+from .graph import WeightedGraph, _adjacent_pairs, neighbor_partition
 from .spectrum import spectrum
 from .tolerances import BOUND_SLACK, EIGENVALUE_EXCLUSION_TOL
 from .transport import wasserstein
@@ -129,7 +129,7 @@ def _holds(lowest: float, highest: float, lower, upper) -> bool:
 
 def _one_step(g: WeightedGraph, name: str, lower_side: bool) -> BoundReport:
     """lambda_1 >= k (lower_side) or lambda_max <= 2 - k, k the exact infimum."""
-    k = global_lower_bound(g, "exact")
+    k = global_lower_bound(g)
     if k is None:
         return BoundReport(
             name=name, t=None, inputs={}, lower=None,
@@ -188,7 +188,7 @@ def sandwich_bounds(g: WeightedGraph, t: int) -> BoundReport:
     """
     gt = neighborhood_graph(g, t)
     restricted = not gt.is_connected()
-    k_t = global_lower_bound(gt, "exact")
+    k_t = global_lower_bound(gt)
     if k_t is None:
         return BoundReport(
             name="walk_sandwich", t=t, inputs={}, lower=None, upper=None,
@@ -197,7 +197,7 @@ def sandwich_bounds(g: WeightedGraph, t: int) -> BoundReport:
             verified=None,
             details={"component_restricted": restricted},
         )
-    k_t_formula = global_lower_bound(gt, "formula")
+    k_t_formula = min(lower_bound_formula(gt, u, v) for u, v in _adjacent_pairs(gt))
     root = _signed_root(float(1 - k_t), t)
     lower, upper = 1.0 - root, 1.0 + root
     ok, checked, skipped = _sandwich_check(g, t, lower, upper)
@@ -309,15 +309,13 @@ def transfer_bounds(
 
 
 def _edges_as_set(g: WeightedGraph):
-    return {(u, v) for u, v, _ in g.edges()}
+    return {(u, v) for u in g.vertices() for v in g.neighbors(u) if v >= u}
 
 
 def _joint_neighbor_stats(g: WeightedGraph):
     """Extremal triangles-plus-loops counts and weights over edges."""
     sharp_min = sharp_max = None
-    for u, v, _ in g.edges():
-        if u == v:
-            continue
+    for u, v in _adjacent_pairs(g):
         count = len(neighbor_partition(g, u, v).n_xy)
         count += (1 if g.has_loop(u) else 0) + (1 if g.has_loop(v) else 0)
         sharp_min = count if sharp_min is None else min(sharp_min, count)
@@ -402,7 +400,7 @@ def contraction_audit(g: WeightedGraph, t_max: int) -> ContractionAudit:
     W_1 = 0 for every pair.  Both sides stay rational throughout.  Without a
     distinct-vertex edge there is no k, and the audit is inapplicable.
     """
-    k = global_lower_bound(g, "exact")
+    k = global_lower_bound(g)
     if k is None:
         return ContractionAudit(
             k=None, t_max=t_max, passed=None, equality_mode=False,
@@ -415,6 +413,8 @@ def contraction_audit(g: WeightedGraph, t_max: int) -> ContractionAudit:
     max_ratio = None
     witness = None
     for t in range(1, t_max + 1):
+        if t > 1:
+            measures = [mu.pushforward(g) for mu in measures]
         shrink = (1 - k) ** t
         for x in range(n):
             for y in range(x + 1, n):
@@ -432,7 +432,6 @@ def contraction_audit(g: WeightedGraph, t_max: int) -> ContractionAudit:
                         witness = (x, y, t)
                     if ratio > 1:
                         passed = False
-        measures = [mu.pushforward(g) for mu in measures]
     return ContractionAudit(
         k=k,
         t_max=t_max,
@@ -490,7 +489,7 @@ def curvature_transfer_check(g: WeightedGraph, t: int) -> CurvatureTransferAudit
             reason="some edge of the graph is missing from the walk graph",
             threshold=None, min_kappa=None, passed=None, witness=None,
         )
-    k = global_lower_bound(g, "exact")
+    k = global_lower_bound(g)
     if k is None:
         return CurvatureTransferAudit(
             t=t, applicable=False, reason="no adjacent distinct pairs",

@@ -46,7 +46,7 @@ from .errors import (
     ParseError,
     RicciSpectrumError,
 )
-from .graph import WeightedGraph, build_graph, is_bipartite
+from .graph import WeightedGraph, _adjacent_pairs, build_graph, is_bipartite
 from .spectrum import spectrum, verify_transfer_identity
 from .tolerances import TRANSFER_IDENTITY_TOL
 from .walk import neighborhood_graph
@@ -213,9 +213,7 @@ def _spectrum_section(g: WeightedGraph) -> dict:
 
 def _curvature_section(g: WeightedGraph, labels) -> dict:
     per_edge = []
-    for u, v, _ in g.edges():
-        if u == v:
-            continue
+    for u, v in _adjacent_pairs(g):
         value = ricci_curvature(g, u, v)
         case = sharpness_case(g, u, v)
         entry = {
@@ -235,7 +233,7 @@ def _curvature_section(g: WeightedGraph, labels) -> dict:
         per_edge.append(entry)
     return {
         "edges": per_edge,
-        "k_exact": global_lower_bound(g, "exact"),
+        "k_exact": global_lower_bound(g),
         "k_formula": min((entry["lower_formula"] for entry in per_edge), default=None),
     }
 

@@ -21,7 +21,8 @@ adjacent pairs two closed-form bounds come from the neighborhood partition
 The lower bound is attained whenever certain mass relocations can be
 certified by a 1-Lipschitz potential; sharpness_case evaluates those
 obstruction conditions per sign case of (A, B) and also compares the bound
-with the exact curvature.
+with the exact curvature.  Both bounds are computed on the partition's
+integer masses; global_lower_bound is the exact curvature minimum.
 """
 
 from __future__ import annotations
@@ -33,11 +34,9 @@ from typing import Optional
 import math
 
 from .errors import InfiniteDistance, SameVertex
-from .graph import WeightedGraph, _check_vertices, neighbor_partition
+from .graph import WeightedGraph, _adjacent_pairs, _check_vertices, neighbor_partition
 from .transport import wasserstein
 from .walk import one_step_measure
-
-ZERO = Fraction(0)
 
 CASE_A_NONNEG = "A>=0"
 CASE_A_NEG_B_NONNEG = "A<0<=B"
@@ -87,16 +86,17 @@ def ricci_curvature(g: WeightedGraph, x: int, y: int) -> CurvatureValue:
 
 
 def _formula_terms(g: WeightedGraph, x: int, y: int):
-    """Partition, A, B and both closed-form bounds of an adjacent pair."""
+    """Partition, A, B and both bounds of an adjacent pair, computed over ``den``."""
     part = neighbor_partition(g, x, y)
-    shared = 1 - part.edge_mass_x - part.edge_mass_y
+    den = part.den
+    shared = den - part.edge_mass_x - part.edge_mass_y
     a = shared - part.common_max
     b = shared - part.common_min
-    lower = -max(a, ZERO) - max(b, ZERO) + part.common_min + part.loop_x + part.loop_y
+    lower = -max(a, 0) - max(b, 0) + part.common_min + part.loop_x + part.loop_y
     # the z = x and z = y terms of the upper bound's sum
     upper = min(part.loop_x, part.edge_mass_y) + min(part.edge_mass_x, part.loop_y)
     upper += part.common_min
-    return part, a, b, lower, upper
+    return part, Fraction(a, den), Fraction(b, den), Fraction(lower, den), Fraction(upper, den)
 
 
 def lower_bound_formula(g: WeightedGraph, x: int, y: int) -> Fraction:
@@ -157,28 +157,16 @@ def sharpness_case(g: WeightedGraph, x: int, y: int) -> BoundFormulaResult:
     )
 
 
-def global_lower_bound(g: WeightedGraph, method: str = "exact") -> Optional[Fraction]:
-    """min over adjacent distinct pairs of the exact curvature or its formula bound.
+def global_lower_bound(g: WeightedGraph) -> Optional[Fraction]:
+    """min over adjacent distinct pairs of the exact curvature.
 
     Adjacent pairs are the binding set: a bound over neighbors extends to
     all pairs by chaining optimal couplings along shortest paths.  Returns
     None when the graph has no distinct-vertex edges (loops only), in which
     case every such bound is vacuous.
     """
-    if method not in ("exact", "formula"):
-        raise ValueError(f"method must be 'exact' or 'formula', got {method!r}")
-    best = None
-    for u, v, _ in g.edges():
-        if u == v:
-            continue
-        value = (
-            ricci_curvature(g, u, v).kappa
-            if method == "exact"
-            else lower_bound_formula(g, u, v)
-        )
-        if best is None or value < best:
-            best = value
-    return best
+    kappas = (ricci_curvature(g, u, v).kappa for u, v in _adjacent_pairs(g))
+    return min(kappas, default=None)
 
 
 def unweighted_terms(g: WeightedGraph, x: int, y: int) -> Optional[dict]:

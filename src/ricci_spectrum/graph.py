@@ -7,10 +7,11 @@ edge (x, x) whose weight counts once in the degree d_x = sum_y w_xy.
 Distances are hop counts (number of edges on a shortest path), independent
 of the weights; loops never shorten a path between distinct vertices.
 
-Weights, degrees and masses are exact, and each one a function returns is
-a fractions.Fraction.  A graph holds its weights once, as positive integers
-over one scale s, the LCM of their reduced denominators, and its degrees as
-the integer row sums; a value becomes a Fraction only when it is read.
+Weights, degrees and masses are exact: a function returns each one as a
+fractions.Fraction, except a partition's masses, integers over its ``den``.
+A graph holds its weights once, as positive integers over one scale s, the
+LCM of their reduced denominators, and its degrees as the integer row sums;
+a value becomes a Fraction only when it is read.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     DisconnectedGraph,
@@ -32,8 +33,6 @@ from .errors import (
 
 #: Distance value for vertex pairs in different components.
 UNREACHABLE = math.inf
-
-WeightInput = Union[int, str, Fraction]
 
 ZERO = Fraction(0)
 
@@ -193,6 +192,7 @@ class NeighborhoodPartition:
     * ``n_x_ge_y`` common neighbors z with w_xz/d_x >= w_zy/d_y,
     * ``n_x_lt_y`` common neighbors z with w_xz/d_x <  w_zy/d_y.
 
+    The six masses are integer numerators over ``den`` = (s*d_x)(s*d_y):
     ``loop_x``/``loop_y`` are the loop masses w_xx/d_x and w_yy/d_y,
     ``edge_mass_x``/``edge_mass_y`` the cross masses w_xy/d_x and w_xy/d_y,
     and ``common_min``/``common_max`` the sums over common neighbors z of
@@ -205,12 +205,13 @@ class NeighborhoodPartition:
     n_y1: frozenset
     n_x_ge_y: frozenset
     n_x_lt_y: frozenset
-    loop_x: Fraction
-    loop_y: Fraction
-    edge_mass_x: Fraction
-    edge_mass_y: Fraction
-    common_min: Fraction
-    common_max: Fraction
+    den: int
+    loop_x: int
+    loop_y: int
+    edge_mass_x: int
+    edge_mass_y: int
+    common_min: int
+    common_max: int
 
     @property
     def n_xy(self) -> frozenset:
@@ -280,7 +281,7 @@ def is_bipartite(g: WeightedGraph):
     if not g.is_connected():
         raise DisconnectedGraph("two-coloring is only defined per component")
     color = tuple(d % 2 for d in g.distance_matrix()[0])
-    if any(color[u] == color[v] for u, v, _ in g.edges()):
+    if any(color[u] == color[v] for u, row in enumerate(g._rows) for v in row):
         return False, None
     return True, color
 
@@ -303,7 +304,7 @@ def neighbor_partition(g: WeightedGraph, x: int, y: int) -> NeighborhoodPartitio
     ny = wy.keys() - {x, y}
     common = nx & ny
     ge, lt = set(), set()
-    # a common neighbor's masses w_xz/d_x and w_zy/d_y, both times (s*d_x)*(s*d_y)
+    # a mass w_az/d_a times den = (s*d_x)*(s*d_y) is (s*w_az)*(s*d_b), b the other end
     common_min = common_max = 0
     for z in common:
         mx, my = wx[z] * dy, wy[z] * dx
@@ -317,10 +318,16 @@ def neighbor_partition(g: WeightedGraph, x: int, y: int) -> NeighborhoodPartitio
         n_y1=frozenset(ny - common),
         n_x_ge_y=frozenset(ge),
         n_x_lt_y=frozenset(lt),
-        loop_x=Fraction(wx.get(x, 0), dx),
-        loop_y=Fraction(wy.get(y, 0), dy),
-        edge_mass_x=Fraction(wx[y], dx),
-        edge_mass_y=Fraction(wx[y], dy),
-        common_min=Fraction(common_min, dx * dy),
-        common_max=Fraction(common_max, dx * dy),
+        den=dx * dy,
+        loop_x=wx.get(x, 0) * dy,
+        loop_y=wy.get(y, 0) * dx,
+        edge_mass_x=wx[y] * dy,
+        edge_mass_y=wx[y] * dx,
+        common_min=common_min,
+        common_max=common_max,
     )
+
+
+def _adjacent_pairs(g: WeightedGraph) -> Iterator[tuple]:
+    """Each adjacent pair (u, v) with u < v, in :meth:`WeightedGraph.edges` order."""
+    return ((u, v) for u, row in enumerate(g._rows) for v in row if v > u)

@@ -54,7 +54,7 @@ def test_criterion_1_pentagon_golden_run():
         failures.append(f"lambda_1 = {ev[1]}")
     if abs(ev[4] - (1 - math.cos(4 * math.pi / 5))) > 1e-9:
         failures.append(f"lambda_4 = {ev[4]}")
-    if global_lower_bound(c5, "exact") != 0:
+    if global_lower_bound(c5) != 0:
         failures.append("k != 0")
     expected = {
         2: (Fraction(1, 4), "0.1340", "1.8660"),
@@ -180,7 +180,7 @@ def test_criterion_7_transfer_identity():
 def test_criterion_8_contraction():
     failures = []
     for name, g in full_corpus():
-        k = global_lower_bound(g, "exact")
+        k = global_lower_bound(g)
         if k == 1:
             continue
         audit = contraction_audit(g, 4)

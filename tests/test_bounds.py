@@ -13,6 +13,7 @@ from ricci_spectrum import (
     joint_neighbor_bounds,
     k_scan,
     largest_upper,
+    lower_bound_formula,
     metric_audit,
     neighbor_partition,
     neighborhood_graph,
@@ -20,8 +21,10 @@ from ricci_spectrum import (
     sandwich_bounds,
     transfer_bounds,
 )
+from ricci_spectrum.cli import parse_edge_list
 from ricci_spectrum.errors import InvalidBoundInput
 from ricci_spectrum.spectrum import spectrum
+from ricci_spectrum.walk import ProbMeasure
 
 from conftest import (
     complete_graph,
@@ -31,6 +34,7 @@ from conftest import (
     petersen_graph,
     weighted_graphs,
 )
+from record_goldens import golden_inputs
 
 
 def test_complete_graph_gap_bound_strict():
@@ -79,6 +83,16 @@ def test_pentagon_sandwich_goldens():
         assert f"{report.upper:.4f}" == hi
         assert report.verified
         assert not report.details["component_restricted"]
+
+
+def test_sandwich_formula_bound_is_the_edge_minimum_on_goldens():
+    for name, text in sorted(golden_inputs().items()):
+        g, _ = parse_edge_list(text)
+        for t in range(1, 5):
+            gt = neighborhood_graph(g, t)
+            bounds = [lower_bound_formula(gt, u, v) for u, v, _ in gt.edges() if u != v]
+            report = sandwich_bounds(g, t)
+            assert report.inputs.get("k_t_formula") == min(bounds, default=None), (name, t)
 
 
 def test_sandwich_even_t_bipartite_restricted():
@@ -203,6 +217,21 @@ def test_contraction_pentagon_and_k2():
     assert audit.passed and audit.max_ratio == 1  # walks swap and return
 
 
+def test_contraction_pushes_forward_only_before_each_later_t(monkeypatch):
+    calls = []
+    step = ProbMeasure.pushforward
+
+    def counted(mu, g):
+        calls.append(mu)
+        return step(mu, g)
+
+    monkeypatch.setattr(ProbMeasure, "pushforward", counted)
+    for g, t_max in ((petersen_graph(), 4), (cycle_graph(5), 3), (complete_graph(3), 1)):
+        calls.clear()
+        contraction_audit(g, t_max)
+        assert len(calls) == g.n_vertices * (t_max - 1)
+
+
 def test_contraction_equality_mode():
     audit = contraction_audit(lazy_complete(4), 3)
     assert audit.equality_mode and audit.passed
@@ -291,7 +320,7 @@ def test_unweighted_regular_k_at_most_sharp_over_degree():
             count = len(neighbor_partition(g, u, v).n_xy)
             count += int(g.has_loop(u)) + int(g.has_loop(v))
             sharp_min = count if sharp_min is None else min(sharp_min, count)
-        assert global_lower_bound(g, "exact") <= Fraction(sharp_min) / d
+        assert global_lower_bound(g) <= Fraction(sharp_min) / d
 
 
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)

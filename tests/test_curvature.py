@@ -90,19 +90,14 @@ def test_pentagon_upper_is_empty_sum():
 
 def test_global_bound_walk_graph_goldens():
     c5 = cycle_graph(5)
-    assert global_lower_bound(c5, "exact") == 0
-    assert global_lower_bound(neighborhood_graph(c5, 2), "exact") == Fraction(1, 4)
-    assert global_lower_bound(neighborhood_graph(c5, 3), "exact") == Fraction(3, 8)
-    assert global_lower_bound(neighborhood_graph(c5, 4), "exact") == Fraction(1, 2)
+    assert global_lower_bound(c5) == 0
+    assert global_lower_bound(neighborhood_graph(c5, 2)) == Fraction(1, 4)
+    assert global_lower_bound(neighborhood_graph(c5, 3)) == Fraction(3, 8)
+    assert global_lower_bound(neighborhood_graph(c5, 4)) == Fraction(1, 2)
 
 
 def test_global_bound_without_distinct_edges_is_none():
     assert global_lower_bound(build_graph([(0, 0, 1)])) is None
-
-
-def test_global_bound_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        global_lower_bound(cycle_graph(5), "approximate")
 
 
 def test_sharpness_cases():
@@ -156,7 +151,7 @@ def test_loop_free_reduction():
             continue
         for u, v in _distinct_edges(g):
             part = neighbor_partition(g, u, v)
-            assert part.loop_x == part.loop_y == 0
+            assert part.loop_x == part.loop_y == 0 < part.den
             du, dv = g.degree(u), g.degree(v)
             s_min = sum(
                 (min(g.weight(u, z) / du, g.weight(z, v) / dv) for z in part.n_xy),

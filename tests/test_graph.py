@@ -29,6 +29,7 @@ from ricci_spectrum.errors import (
     NotNeighbors,
     SameVertex,
 )
+from ricci_spectrum.graph import _adjacent_pairs
 
 from conftest import (
     complete_graph,
@@ -140,7 +141,8 @@ def test_partition_pentagon():
     assert part.n_x1 == {4}
     assert part.n_y1 == {2}
     assert part.loop_x == part.loop_y == 0
-    assert part.edge_mass_x == part.edge_mass_y == Fraction(1, 2)
+    assert Fraction(part.edge_mass_x, part.den) == Fraction(1, 2)
+    assert Fraction(part.edge_mass_y, part.den) == Fraction(1, 2)
 
 
 def test_partition_triangle_with_loop():
@@ -148,8 +150,12 @@ def test_partition_triangle_with_loop():
     g = build_graph([(0, 1, 1), (1, 2, 1), (0, 2, 1), (0, 0, 1)])
     assert g.degree(0) == 3
     part = neighbor_partition(g, 0, 1)
-    assert part.loop_x == Fraction(1, 3)
+    assert Fraction(part.loop_x, part.den) == Fraction(1, 3)
     assert part.n_xy == {2}
+
+
+#: The partition's masses, each an integer numerator over its ``den``.
+MASSES = ("loop_x", "loop_y", "edge_mass_x", "edge_mass_y", "common_min", "common_max")
 
 
 def _partition_reference(g, x, y):
@@ -180,8 +186,11 @@ def test_partition_matches_fraction_reference_property(g):
             continue
         for x, y in ((u, v), (v, u)):
             part = neighbor_partition(g, x, y)
+            assert all(type(getattr(part, key)) is int for key in ("den", *MASSES))
             reference = _partition_reference(g, x, y)
-            assert {key: getattr(part, key) for key in reference} == reference
+            got = {key: getattr(part, key) for key in reference}
+            got.update((key, Fraction(got[key], part.den)) for key in MASSES)
+            assert got == reference
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -221,6 +230,13 @@ def test_weight_and_degree_accessors_return_fractions_property(g):
     weight = next(g.edges())[2]
     uniform = build_graph([(u, v, weight) for u, v, _ in g.edges()]).uniform_weight()
     assert type(uniform) is Fraction and uniform == weight
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(weighted_graphs(loops=True))
+def test_adjacent_pairs_are_the_distinct_vertex_edges_property(g):
+    for h in (g, neighborhood_graph(g, 2)):
+        assert list(_adjacent_pairs(h)) == [(u, v) for u, v, _ in h.edges() if u != v]
 
 
 def test_partition_errors():
