@@ -11,8 +11,8 @@ audit --t-max, report.  Output is a human table or canonical JSON
 (--format json: sorted keys, rationals as "p/q" strings, floats with 15
 significant digits) that is byte-identical across runs.
 
-Exit codes: 0 ok, 2 parse/config error, 3 invalid graph, 4 internal
-consistency failure.
+Exit codes: 0 ok, 2 option or edge-list parse error, 3 invalid graph,
+4 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -57,31 +57,6 @@ EXIT_GRAPH = 3
 EXIT_INTERNAL = 4
 
 COMMANDS = ("spectrum", "curvature", "neighborhood", "bounds", "audit", "report")
-
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    input_path: str
-    command: str
-    t: int = 2
-    t_max: int = 6
-    arithmetic: str = "exact"  # "exact" | "float": how rationals are rendered
-    output_format: str = "table"  # "table" | "json"
-    tolerance: float = TRANSFER_IDENTITY_TOL
-
-    def validate(self):
-        if self.command not in COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if not 1 <= self.t <= 64:
-            raise ValueError("--t must lie in 1..64")
-        if not 1 <= self.t_max <= 64:
-            raise ValueError("--t-max must lie in 1..64")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError("--tolerance must be finite and positive")
-        if self.arithmetic not in ("exact", "float"):
-            raise ValueError(f"unknown arithmetic mode {self.arithmetic!r}")
-        if self.output_format not in ("table", "json"):
-            raise ValueError(f"unknown format {self.output_format!r}")
 
 
 @dataclass
@@ -270,10 +245,9 @@ def _audit_section(g: WeightedGraph, t_max: int, tolerance: float) -> dict:
     }
 
 
-def run(config: AnalysisConfig) -> Report:
-    """Execute one command against an edge-list file."""
-    config.validate()
-    with open(config.input_path, "r", encoding="utf-8") as fh:
+def run(args: argparse.Namespace) -> Report:
+    """Execute a parsed command line's command on its edge-list file."""
+    with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
     g, labels = parse_edge_list(text)
     if not g.is_connected():
@@ -282,47 +256,65 @@ def run(config: AnalysisConfig) -> Report:
     report = Report(
         summary=_summary(g, labels),
         config={
-            "command": config.command,
-            "input": config.input_path,
-            "t": config.t,
-            "t_max": config.t_max,
-            "arithmetic": config.arithmetic,
-            "tolerance": config.tolerance,
+            key: getattr(args, key)
+            for key in ("command", "input", "t", "t_max", "arithmetic", "tolerance")
         },
     )
-    cmd = config.command
+    cmd = args.command
     if cmd == "spectrum":
         report.sections["spectrum"] = _spectrum_section(g)
     elif cmd == "curvature":
         report.sections["curvature"] = _curvature_section(g, labels)
     elif cmd == "neighborhood":
-        gt = neighborhood_graph(g, config.t)
+        gt = neighborhood_graph(g, args.t)
         report.sections["neighborhood"] = {
-            "t": config.t,
+            "t": args.t,
             "edge_list": format_edge_list(gt, labels),
         }
     elif cmd == "bounds":
-        report.sections["bounds"] = _bounds_section(g, config.t_max)
+        report.sections["bounds"] = _bounds_section(g, args.t_max)
     elif cmd == "audit":
-        section = _audit_section(g, config.t_max, config.tolerance)
+        section = _audit_section(g, args.t_max, args.tolerance)
         report.sections["audit"] = section
         if not section["all_passed"]:
             raise CertificateGapNonzero("an exact audit failed; see the audit section")
     elif cmd == "report":
         report.sections["spectrum"] = _spectrum_section(g)
         report.sections["curvature"] = _curvature_section(g, labels)
-        report.sections["bounds"] = _bounds_section(g, config.t_max)
-        report.sections["audit"] = _audit_section(g, config.t_max, config.tolerance)
+        report.sections["bounds"] = _bounds_section(g, args.t_max)
+        report.sections["audit"] = _audit_section(g, args.t_max, args.tolerance)
     return report
 
 
-def render(report: Report, config: AnalysisConfig) -> str:
-    if config.output_format == "json":
-        return report_to_json(report, config.arithmetic)
-    if config.command == "neighborhood":
+def render(report: Report, args: argparse.Namespace) -> str:
+    if args.format == "json":
+        return report_to_json(report, args.arithmetic)
+    if args.command == "neighborhood":
         # the edge-list dialect, re-ingestible as-is
         return report.sections["neighborhood"]["edge_list"]
-    return report_to_table(report, config.arithmetic)
+    return report_to_table(report, args.arithmetic)
+
+
+def _walk_length(text: str) -> int:
+    """The type of --t and --t-max: an integer in 1..64."""
+    try:
+        t = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 1 <= t <= 64:
+        raise argparse.ArgumentTypeError("must lie in 1..64")
+    return t
+
+
+def _tolerance(text: str) -> float:
+    """The type of --tolerance: a finite positive float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("must be finite and positive")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -333,8 +325,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("input", help="edge-list file ('u v w' lines)")
-    parser.add_argument("--t", type=int, default=2, help="walk length (neighborhood)")
-    parser.add_argument("--t-max", type=int, default=6, dest="t_max",
+    parser.add_argument("--t", type=_walk_length, default=2,
+                        help="walk length (neighborhood)")
+    parser.add_argument("--t-max", type=_walk_length, default=6, dest="t_max",
                         help="largest walk length for scans and audits")
     parser.add_argument("--format", choices=("table", "json"), default="table")
     arith = parser.add_mutually_exclusive_group()
@@ -343,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     arith.add_argument("--float", dest="arithmetic", action="store_const",
                        const="float", help="render rationals as floats")
     parser.set_defaults(arithmetic="exact")
-    parser.add_argument("--tolerance", type=float, default=TRANSFER_IDENTITY_TOL,
+    parser.add_argument("--tolerance", type=_tolerance, default=TRANSFER_IDENTITY_TOL,
                         help="audit tolerance for float identities")
     return parser
 
@@ -354,22 +347,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    config = AnalysisConfig(
-        input_path=args.input,
-        command=args.command,
-        t=args.t,
-        t_max=args.t_max,
-        arithmetic=args.arithmetic,
-        output_format=args.format,
-        tolerance=args.tolerance,
-    )
     try:
-        config.validate()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        report = run(config)
+        report = run(args)
     except (ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -379,7 +358,7 @@ def main(argv=None) -> int:
     except (RicciSpectrumError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GRAPH
-    sys.stdout.write(render(report, config))
+    sys.stdout.write(render(report, args))
     return EXIT_OK
 
 

@@ -86,7 +86,7 @@ def ricci_curvature(g: WeightedGraph, x: int, y: int) -> CurvatureValue:
 
 
 def _formula_terms(g: WeightedGraph, x: int, y: int):
-    """Partition, A, B and both bounds of an adjacent pair, computed over ``den``."""
+    """Partition, then A, B and both bounds as integer numerators over ``den``."""
     part = neighbor_partition(g, x, y)
     den = part.den
     shared = den - part.edge_mass_x - part.edge_mass_y
@@ -96,17 +96,19 @@ def _formula_terms(g: WeightedGraph, x: int, y: int):
     # the z = x and z = y terms of the upper bound's sum
     upper = min(part.loop_x, part.edge_mass_y) + min(part.edge_mass_x, part.loop_y)
     upper += part.common_min
-    return part, Fraction(a, den), Fraction(b, den), Fraction(lower, den), Fraction(upper, den)
+    return part, a, b, lower, upper
 
 
 def lower_bound_formula(g: WeightedGraph, x: int, y: int) -> Fraction:
     """Closed-form lower bound for kappa(x, y) on an adjacent pair."""
-    return _formula_terms(g, x, y)[3]
+    part, _, _, lower, _ = _formula_terms(g, x, y)
+    return Fraction(lower, part.den)
 
 
 def upper_bound_formula(g: WeightedGraph, x: int, y: int) -> Fraction:
     """Mass of m_x that need not move: an upper bound for kappa(x, y)."""
-    return _formula_terms(g, x, y)[4]
+    part, _, _, _, upper = _formula_terms(g, x, y)
+    return Fraction(upper, part.den)
 
 
 def _min_distance_at_least(g, left, right, bound) -> bool:
@@ -127,6 +129,7 @@ def sharpness_case(g: WeightedGraph, x: int, y: int) -> BoundFormulaResult:
     when the sufficient conditions fail.
     """
     part, a, b, lower, upper = _formula_terms(g, x, y)
+    lower_k = Fraction(lower, part.den)
 
     if a >= 0:
         case = CASE_A_NONNEG
@@ -144,13 +147,13 @@ def sharpness_case(g: WeightedGraph, x: int, y: int) -> BoundFormulaResult:
         case = CASE_B_NEG
         conditions = True
 
-    equality = lower == ricci_curvature(g, x, y).kappa
+    equality = lower_k == ricci_curvature(g, x, y).kappa
     return BoundFormulaResult(
         pair=(x, y),
-        lower_k=lower,
-        upper=upper,
-        a_xy=a,
-        b_xy=b,
+        lower_k=lower_k,
+        upper=Fraction(upper, part.den),
+        a_xy=Fraction(a, part.den),
+        b_xy=Fraction(b, part.den),
         case=case,
         conditions_hold=conditions,
         equality=equality,

@@ -149,7 +149,11 @@ class WeightedGraph:
 
     def distance(self, x: int, y: int):
         """Hop distance; UNREACHABLE (math.inf) across components."""
-        return self.distance_matrix()[x][y]
+        # read the cached table directly: transport calls this once per cell
+        dist = self._dist
+        if dist is None:
+            dist = self.distance_matrix()
+        return dist[x][y]
 
     def distance_matrix(self) -> tuple:
         """All-pairs hop distances from per-vertex BFS, cached on the graph."""

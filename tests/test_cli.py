@@ -9,7 +9,7 @@ from ricci_spectrum.cli import (
     EXIT_GRAPH,
     EXIT_INTERNAL,
     EXIT_OK,
-    AnalysisConfig,
+    _build_parser,
     format_edge_list,
     main,
     parse_edge_list,
@@ -131,22 +131,25 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["spectrum", str(tmp_path / "missing.edges")]) == EXIT_CONFIG
     duplicate = _write(tmp_path, "dup.edges", "0 1\n1 0\n")
     assert main(["spectrum", duplicate]) == EXIT_GRAPH
-    ok = _write(tmp_path, "ok.edges", "0 1\n")
-    assert main(["spectrum", ok, "--t-max", "100"]) == EXIT_CONFIG
-    assert main(["neighborhood", ok, "--t", "65"]) == EXIT_CONFIG
-    assert main(["spectrum", ok, "--tolerance", "-1"]) == EXIT_CONFIG
-    assert main(["audit", ok, "--tolerance", "nan"]) == EXIT_CONFIG
-    assert main(["audit", ok, "--tolerance", "inf"]) == EXIT_CONFIG
     capsys.readouterr()
-
-
-def test_config_validation():
-    config = AnalysisConfig(input_path="x", command="spectrum", t=0)
-    with pytest.raises(ValueError):
-        config.validate()
-    config = AnalysisConfig(input_path="x", command="nope")
-    with pytest.raises(ValueError):
-        config.validate()
+    ok = _write(tmp_path, "ok.edges", "0 1\n")
+    # an option error is argparse's: usage and a message naming the argument
+    for argv, argument in (
+        (["spectrum", ok, "--t-max", "100"], "--t-max"),
+        (["spectrum", ok, "--t-max", "0"], "--t-max"),
+        (["neighborhood", ok, "--t", "65"], "--t"),
+        (["neighborhood", ok, "--t", "0"], "--t"),
+        (["neighborhood", ok, "--t", "abc"], "--t"),
+        (["spectrum", ok, "--tolerance", "-1"], "--tolerance"),
+        (["audit", ok, "--tolerance", "nan"], "--tolerance"),
+        (["audit", ok, "--tolerance", "inf"], "--tolerance"),
+        (["nope", ok], "command"),
+    ):
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ricci-spectrum")
+        assert f"ricci-spectrum: error: argument {argument}: " in captured.err
 
 
 def test_audit_command_passes(tmp_path, capsys):
@@ -157,7 +160,7 @@ def test_audit_command_passes(tmp_path, capsys):
 
 def test_run_report_sections(tmp_path):
     path = _write(tmp_path, "k3.edges", "0 1\n1 2\n0 2\n")
-    report = run(AnalysisConfig(input_path=path, command="report", t_max=2))
+    report = run(_build_parser().parse_args(["report", path, "--t-max", "2"]))
     assert set(report.sections) == {"spectrum", "curvature", "bounds", "audit"}
     assert report.summary["vertices"] == 3
     assert report.summary["bipartite"] is False

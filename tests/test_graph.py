@@ -29,7 +29,7 @@ from ricci_spectrum.errors import (
     NotNeighbors,
     SameVertex,
 )
-from ricci_spectrum.graph import _adjacent_pairs
+from ricci_spectrum.graph import WeightedGraph, _adjacent_pairs
 
 from conftest import (
     complete_graph,
@@ -92,6 +92,20 @@ def test_unreachable_across_walk_components():
     c4_2 = neighborhood_graph(cycle_graph(4), 2)
     assert c4_2.distance(0, 1) == UNREACHABLE
     assert math.isinf(c4_2.distance(0, 1))
+
+
+def test_distance_reads_the_cached_table(monkeypatch):
+    # transport looks up one distance per cell, so a lookup must not go
+    # through distance_matrix once the table is built
+    pet = petersen_graph()
+    table = pet.distance_matrix()
+    calls = []
+    build = WeightedGraph.distance_matrix
+    monkeypatch.setattr(WeightedGraph, "distance_matrix",
+                        lambda self: calls.append(self) or build(self))
+    pairs = [(x, y) for x in pet.vertices() for y in pet.vertices()]
+    assert [pet.distance(x, y) for x, y in pairs] == [table[x][y] for x, y in pairs]
+    assert calls == []
 
 
 def test_bipartite_detection():
