@@ -82,7 +82,9 @@ def ricci_curvature(g: WeightedGraph, x: int, y: int) -> CurvatureValue:
     if math.isinf(d):
         raise InfiniteDistance(f"{x} and {y} lie in different components")
     w1, _ = wasserstein(g.distance, one_step_measure(g, x), one_step_measure(g, y))
-    return CurvatureValue(pair=(x, y), kappa=1 - w1 / d, w1=w1, distance=d)
+    # 1 - w1/d as one Fraction, with one gcd
+    kappa = Fraction(d * w1.denominator - w1.numerator, d * w1.denominator)
+    return CurvatureValue(pair=(x, y), kappa=kappa, w1=w1, distance=d)
 
 
 def _formula_terms(g: WeightedGraph, x: int, y: int):

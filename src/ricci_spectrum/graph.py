@@ -17,7 +17,6 @@ a value becomes a Fraction only when it is read.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -62,7 +61,7 @@ class WeightedGraph:
     an id outside 0..N-1 raises IndexError or, if negative, wraps around.
     """
 
-    __slots__ = ("_n", "_scale", "_rows", "_degrees", "_dist", "_measures")
+    __slots__ = ("_n", "_scale", "_rows", "_degrees", "_dist", "_measures", "_walks", "_spectrum")
 
     def __init__(self, rows: Sequence[Mapping[int, int]], scale: int):
         common = math.gcd(scale, *(w for row in rows for w in row.values()))
@@ -74,6 +73,11 @@ class WeightedGraph:
         self._dist: Optional[tuple] = None
         # one-step walk measures, built on demand by walk.one_step_measure
         self._measures: list = [None] * self._n
+        # G[2], G[3], ... in order, built on demand by walk.neighborhood_graph;
+        # they hold no reference back to this graph
+        self._walks: list = []
+        # the Spectrum, computed on demand by spectrum.spectrum
+        self._spectrum = None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -158,17 +162,21 @@ class WeightedGraph:
     def distance_matrix(self) -> tuple:
         """All-pairs hop distances from per-vertex BFS, cached on the graph."""
         if self._dist is None:
+            adjacency = self._rows
             rows = []
             for s in range(self._n):
                 row = [UNREACHABLE] * self._n
                 row[s] = 0
-                queue = deque([s])
-                while queue:
-                    u = queue.popleft()
-                    for v in self._rows[u]:
-                        if row[v] == UNREACHABLE:
-                            row[v] = row[u] + 1
-                            queue.append(v)
+                seen = {s}
+                frontier = [s]
+                hops = 0
+                # level-synchronous: one set union expands a whole frontier
+                while frontier:
+                    hops += 1
+                    frontier = set().union(*(adjacency[u] for u in frontier)) - seen
+                    seen |= frontier
+                    for v in frontier:
+                        row[v] = hops
                 rows.append(tuple(row))
             self._dist = tuple(rows)
         return self._dist

@@ -78,9 +78,17 @@ def _symmetric_conjugate(g: WeightedGraph) -> tuple:
 
 
 def spectrum(g: WeightedGraph) -> Spectrum:
-    """Eigenvalues of Delta, ascending (float64, LAPACK symmetric solver)."""
-    vals = np.linalg.eigvalsh(_symmetric_conjugate(g)[0])
-    return Spectrum(eigenvalues=np.sort(1.0 - vals))
+    """Eigenvalues of Delta, ascending (float64, LAPACK symmetric solver).
+
+    Computed once per graph object and kept on it, so every caller shares
+    one read-only eigenvalue array.
+    """
+    spec = g._spectrum
+    if spec is None:
+        eigenvalues = np.sort(1.0 - np.linalg.eigvalsh(_symmetric_conjugate(g)[0]))
+        eigenvalues.flags.writeable = False
+        spec = g._spectrum = Spectrum(eigenvalues=eigenvalues)
+    return spec
 
 
 def eigenpairs(g: WeightedGraph) -> List[EigenPair]:

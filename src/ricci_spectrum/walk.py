@@ -7,22 +7,22 @@ P works on the graph's integers: with s its scale and L the LCM of the
 scaled degrees s*d_x, W_s = s*W and M = L*D^-1*W = L*P are integer
 matrices.  ``_times_step``, a sparse integer row times M, is the one
 implementation of P: ``ProbMeasure.pushforward`` is one product on a
-measure's numerators, over den*L, and ``_walk_rows`` gives the rows
-s*L^(t-1)*W[t] = W_s*M^(t-1) that G[t] keeps with their scale s*L^(t-1),
-so no mass or weight becomes a Fraction on the way.
+measure's numerators, over den*L, and ``_next_rows`` takes the integer rows
+of G[t-1], over its scale s', to those of G[t] = G[t-1]*P, over s'*L, so no
+mass or weight becomes a Fraction on the way.
 
 The t-th neighborhood graph G[t] keeps the vertex set and sets
 w_xy[t] = (t-step probability x -> y) * d_x.  Degrees are preserved
 (d_x[t] = d_x) and x ~ y in G[t] exactly when a walk of length t joins them,
 which this module determines structurally from boolean reachability rather
-than from the arithmetic.
+than from the arithmetic.  G[1] is g itself; G[2], G[3], ... are built once
+per graph object, each chained from the one before, and kept on g.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice
 from typing import Mapping, Optional
 
 from .errors import InternalInconsistency, LoopAlreadyPresent
@@ -132,30 +132,13 @@ def one_step_measure(g: WeightedGraph, x: int) -> ProbMeasure:
     return measure
 
 
-def _walk_rows(g: WeightedGraph, t: int, sources) -> tuple:
-    """Rows x in ``sources`` of the integer matrix s*L^(t-1)*W[t], and s*L^(t-1).
-
-    Row x is W_s[x]*M^(t-1) (see the module docstring): every entry is a
-    positive integer on the ends of the length-t walks from x, and the row
-    sums to s*d_x*L^(t-1) because every row of M sums to L.
-    """
-    big = math.lcm(*g._degrees)
-    rows = []
-    for x in sources:
-        row = g._rows[x]
-        for _ in range(t - 1):
-            row = _times_step(g, row, big)
-        rows.append(row)
-    return rows, g._scale * big ** (t - 1)
-
-
 def t_step_measure(g: WeightedGraph, x: int, t: int) -> ProbMeasure:
-    """Distribution of a t-step walk from x, t >= 1: row x of W[t] over d_x."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    _check_vertices(g, x)
-    (row,), den = _walk_rows(g, t, (x,))
-    return ProbMeasure._from_integers(dict(sorted(row.items())), g._degrees[x] * den // g._scale)
+    """Distribution of a t-step walk from x, t >= 1: row x of W[t] over d_x.
+
+    This is the one-step measure of G[t] at x, so a first call for some t
+    builds all of G[t] (and every G[s] before it) for the one vertex.
+    """
+    return one_step_measure(neighborhood_graph(g, t), x)
 
 
 def _reaches(g: WeightedGraph):
@@ -167,28 +150,40 @@ def _reaches(g: WeightedGraph):
         reach = [set().union(*(step[z] for z in r)) for r in reach]
 
 
-def neighborhood_graph(g: WeightedGraph, t: int) -> WeightedGraph:
-    """Build G[t] with w_xy[t] = (t-step probability x -> y) * d_x.
+def _next_rows(g: WeightedGraph, prev: WeightedGraph) -> tuple:
+    """Integer rows of G[t] and their scale, from prev = G[t-1]: each row of prev times M."""
+    big = math.lcm(*g._degrees)
+    return [_times_step(g, row, big) for row in prev._rows], prev._scale * big
 
-    The edge set is fixed by boolean reachability in exactly t steps; the
-    exact weights must be positive on it, sum to d_x in each row and be
-    symmetric; any failure raises InternalInconsistency.  G[1] equals g
-    (same weights).
+
+def neighborhood_graph(g: WeightedGraph, t: int) -> WeightedGraph:
+    """G[t] with w_xy[t] = (t-step probability x -> y) * d_x; G[1] is g.
+
+    G[t] is built once per graph object, from G[t-1], and kept on g, so a
+    repeat call returns the same object.  On every level it builds, row x's
+    support must equal boolean reachability in exactly t steps (the
+    g-neighbors of x's neighbors in G[t-1]), and the exact weights must be
+    positive on it, sum to d_x and be symmetric; any failure raises
+    InternalInconsistency, and the level that failed is not kept.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    reach = next(islice(_reaches(g), t - 1, None))
-    rows, den = _walk_rows(g, t, g.vertices())
-    for x, row in enumerate(rows):
-        if row.keys() != reach[x] or not all(w > 0 for w in row.values()):
-            raise InternalInconsistency(f"walk support from {x} disagrees with reachability")
-        if sum(row.values()) != g._degrees[x] * den // g._scale:
-            raise InternalInconsistency(f"t-step weights from {x} do not sum to its degree")
-        for y, w in row.items():
-            # reversibility: d_x * P^t(x, y) == d_y * P^t(y, x)
-            if rows[y].get(x) != w:
-                raise InternalInconsistency(f"t-step weights of ({x}, {y}) are not symmetric")
-    return WeightedGraph(rows, den)
+    walks = g._walks
+    while len(walks) < t - 1:
+        prev = walks[-1] if walks else g
+        rows, scale = _next_rows(g, prev)
+        for x, row in enumerate(rows):
+            reach = set().union(*(g._rows[z] for z in prev._rows[x]))
+            if row.keys() != reach or not all(w > 0 for w in row.values()):
+                raise InternalInconsistency(f"walk support from {x} disagrees with reachability")
+            if sum(row.values()) * g._scale != g._degrees[x] * scale:
+                raise InternalInconsistency(f"t-step weights from {x} do not sum to its degree")
+            for y, w in row.items():
+                # reversibility: d_x * P^t(x, y) == d_y * P^t(y, x)
+                if rows[y].get(x) != w:
+                    raise InternalInconsistency(f"t-step weights of ({x}, {y}) are not symmetric")
+        walks.append(WeightedGraph(rows, scale))
+    return walks[t - 2] if t > 1 else g
 
 
 def heat_kernel(g: WeightedGraph, t: int, x: int, y: int) -> Fraction:

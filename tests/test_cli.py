@@ -183,7 +183,7 @@ def test_loop_only_graph_report_and_audit_are_inapplicable(tmp_path, capsys):
 
 def test_walk_graph_inconsistency_exits_internal(tmp_path, capsys, monkeypatch):
     # every walk stays put, so the support misses the vertices two steps away
-    monkeypatch.setattr(walk, "_walk_rows", lambda g, t, sources: ([{x: 1} for x in sources], 1))
+    monkeypatch.setattr(walk, "_next_rows", lambda g, prev: ([{x: 1} for x in g.vertices()], 1))
     path = _write(tmp_path, "c5.edges", C5_TEXT)
     assert main(["neighborhood", path, "--t", "2"]) == EXIT_INTERNAL
     assert "reachability" in capsys.readouterr().err

@@ -346,3 +346,14 @@ def test_petersen_shape():
     assert pet.n_vertices == 10
     assert all(d == 3 for d in pet.degrees)
     assert max(max(row) for row in pet.distance_matrix()) == 2
+
+
+def test_distance_matrix_matches_networkx_bfs():
+    # the frontier-at-a-time BFS against networkx, on connected and split G[2]
+    for _, g in full_corpus():
+        for h in (g, neighborhood_graph(g, 2)):
+            nxg = nx.Graph([(u, v) for u, v, _ in h.edges()])
+            lengths = dict(nx.all_pairs_shortest_path_length(nxg))
+            assert h.distance_matrix() == tuple(
+                tuple(lengths[x].get(y, UNREACHABLE) for y in h.vertices()) for x in h.vertices()
+            )

@@ -223,3 +223,18 @@ def test_laplacian_apply_matches_fraction_row_sums_on_goldens():
             for x in g.vertices()
         ]
         assert np.max(np.abs(laplacian_apply(g, f) - expected)) < EIGENVALUE_TOL, name
+
+
+def test_spectrum_is_computed_once_per_graph_and_read_only():
+    for name, text in sorted(golden_inputs().items()):
+        g, _ = parse_edge_list(text)
+        for t in range(1, 6):
+            gt = neighborhood_graph(g, t)
+            spec = spectrum(gt)
+            assert spectrum(gt) is spec, (name, t)
+            with pytest.raises(ValueError):
+                spec.eigenvalues[0] = 1.0
+            # an equal graph built fresh holds no cache, and its eigenvalues are the same bits
+            fresh = build_graph(gt.edges())
+            assert fresh == gt and spectrum(fresh) is not spec
+            assert spectrum(fresh).eigenvalues.tobytes() == spec.eigenvalues.tobytes(), (name, t)

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -23,6 +24,7 @@ from ricci_spectrum import (
 )
 from ricci_spectrum import walk
 from ricci_spectrum.errors import InternalInconsistency, LoopAlreadyPresent
+from ricci_spectrum.graph import WeightedGraph
 
 from conftest import (
     complete_graph,
@@ -42,6 +44,25 @@ def _fraction_step(g, mass):
         for y, w in g.neighbor_items(v):
             out[y] = out.get(y, 0) + share * w
     return out
+
+
+def _walk_rows(g, t):
+    """Rows W_s*M^(t-1) = s*L^(t-1)*W[t] of G[t], and s*L^(t-1).
+
+    Each row takes t-1 products from g's own row: G[t] built from scratch,
+    the oracle for the chain that ``neighborhood_graph`` builds.
+    """
+    big = math.lcm(*g._degrees)
+    rows = []
+    for row in g._rows:
+        for _ in range(t - 1):
+            row = walk._times_step(g, row, big)
+        rows.append(row)
+    return rows, g._scale * big ** (t - 1)
+
+
+def _scratch_walk_graph(g, t):
+    return WeightedGraph(*_walk_rows(g, t))
 
 
 def test_one_step_pentagon():
@@ -194,7 +215,20 @@ def test_walk_kernel_matches_repeated_pushforward_property(g):
 
 def test_order_one_walk_graph_is_the_graph():
     for _, g in full_corpus()[:15]:
-        assert neighborhood_graph(g, 1) == g
+        assert neighborhood_graph(g, 1) is g
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(weighted_graphs(loops=True), st.permutations(range(1, 6)))
+def test_chained_walk_graphs_match_scratch_builds_property(g, order):
+    # each G[t] is chained from G[t-1] and kept, in whatever order t is asked for
+    built = {}
+    for t in order:
+        built[t] = neighborhood_graph(g, t)
+        assert built[t] == _scratch_walk_graph(g, t)
+    for t in order:
+        assert neighborhood_graph(g, t) is built[t]
+    assert built[1] is g
 
 
 def test_degrees_preserved_exactly():
@@ -333,41 +367,60 @@ def test_first_complete_t_matches_boolean_oracle():
         assert first_complete_t(g, 12) == expected
 
 
-_WALK_ROWS = walk._walk_rows
+_NEXT_ROWS = walk._next_rows
 
 
-def _support_fault(g, t, sources):
+def _support_fault(g, prev):
     """Stays put: for t >= 2 on a cycle the support misses reachable vertices."""
-    rows, den = _WALK_ROWS(g, t, sources)
-    return [{x: sum(row.values())} for x, row in zip(sources, rows)], den
+    rows, scale = _NEXT_ROWS(g, prev)
+    return [{x: sum(row.values())} for x, row in enumerate(rows)], scale
 
 
-def _symmetry_fault(g, t, sources):
+def _symmetry_fault(g, prev):
     """Right support and row sums, but one unit moves from the last vertex to the first."""
-    rows, den = _WALK_ROWS(g, t, sources)
+    rows, scale = _NEXT_ROWS(g, prev)
     faulty = []
     for row in rows:
         row = {y: 2 * w for y, w in row.items()}
         row[min(row)] += 1
         row[max(row)] -= 1
         faulty.append(row)
-    return faulty, 2 * den
+    return faulty, 2 * scale
 
 
-def _mass_fault(g, t, sources):
+def _mass_fault(g, prev):
     """Right support and symmetric, but every row sums to twice its degree."""
-    rows, den = _WALK_ROWS(g, t, sources)
-    return [{y: 2 * w for y, w in row.items()} for row in rows], den
+    rows, scale = _NEXT_ROWS(g, prev)
+    return [{y: 2 * w for y, w in row.items()} for row in rows], scale
 
 
-FAULTS = {"mass": _mass_fault, "support": _support_fault, "symmetry": _symmetry_fault}
+def _late_mass_fault(g, prev):
+    """The step to G[2] is right; every later step doubles the row sums."""
+    return _NEXT_ROWS(g, prev) if prev is g else _mass_fault(g, prev)
+
+
+#: fault name -> (chain step, the first level t it corrupts)
+FAULTS = {
+    "mass": (_mass_fault, 2),
+    "support": (_support_fault, 2),
+    "symmetry": (_symmetry_fault, 2),
+    "late_mass": (_late_mass_fault, 3),
+}
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_walk_graph_consistency_checks_raise(fault, monkeypatch):
-    monkeypatch.setattr(walk, "_walk_rows", FAULTS[fault])
+    step, t = FAULTS[fault]
+    g = cycle_graph(5)
+    monkeypatch.setattr(walk, "_next_rows", step)
+    # the levels before the faulty one pass their checks and are kept
+    good = [neighborhood_graph(g, s) for s in range(2, t)]
     with pytest.raises(InternalInconsistency):
-        neighborhood_graph(cycle_graph(5), 2)
+        neighborhood_graph(g, t)
+    # the failed level was not kept: without the fault it builds right
+    monkeypatch.undo()
+    assert all(neighborhood_graph(g, s) is gs for s, gs in zip(range(2, t), good))
+    assert neighborhood_graph(g, t) == _scratch_walk_graph(g, t)
 
 
 def test_walk_graph_consistency_checks_survive_optimize():
