@@ -29,6 +29,13 @@ def lazy_complete(n):
     return lazy_graph(complete_graph(n), Fraction(1, n))
 
 
+def grid_graph(k):
+    """The k x k grid: vertex r*k + c joins its right and lower neighbors."""
+    right = [(v, v + 1, 1) for v in range(k * k) if v % k + 1 < k]
+    down = [(v, v + k, 1) for v in range(k * k - k)]
+    return build_graph(right + down)
+
+
 def petersen_graph():
     outer = [(i, (i + 1) % 5, 1) for i in range(5)]
     spokes = [(i, i + 5, 1) for i in range(5)]
@@ -50,9 +57,14 @@ def named_corpus():
     ]
 
 
-def random_connected_graph(rng):
-    """Connected graph on 2..8 vertices with random weights and loops."""
-    n = rng.randint(2, 8)
+def random_connected_graph(rng, n=None, p=0.3):
+    """Connected graph with random weights and loops: a random tree plus extras.
+
+    n defaults to a random 2..8; each pair off the tree is an edge with
+    probability p.
+    """
+    if n is None:
+        n = rng.randint(2, 8)
     edges = []
     used = set()
 
@@ -64,7 +76,7 @@ def random_connected_graph(rng):
         edges.append((u, v, weight()))
         used.add((u, v))
     for u, v in combinations(range(n), 2):
-        if (u, v) not in used and rng.random() < 0.3:
+        if (u, v) not in used and rng.random() < p:
             edges.append((u, v, weight()))
     for v in range(n):
         if rng.random() < 0.25:

@@ -15,6 +15,7 @@ and why.
 import contextlib
 import io
 import os
+import random
 import sys
 from pathlib import Path
 
@@ -27,14 +28,20 @@ RUNS = {".json": ARGS, ".g4.txt": WALK_ARGS}
 
 #: Members of conftest.random_corpus() recorded next to the named corpus.
 RANDOM_PICKS = (0, 1, 2, 3)
+#: Seed of the 20-vertex random golden graph.
+LADDER_SEED = 20
 
 
 def golden_inputs() -> dict:
     """Name -> edge-list text of every graph in the golden corpus."""
-    from conftest import named_corpus, random_corpus
+    from conftest import grid_graph, named_corpus, random_connected_graph, random_corpus
     from ricci_spectrum.cli import format_edge_list
 
     graphs = named_corpus() + [random_corpus()[i] for i in RANDOM_PICKS]
+    # two graphs of ladder size, kept out of named_corpus() so that the
+    # full_corpus()[:k] slices of other tests do not shift
+    graphs.append(("grid5", grid_graph(5)))
+    graphs.append(("random20", random_connected_graph(random.Random(LADDER_SEED), 20, 0.15)))
     texts = {name: format_edge_list(g, [str(v) for v in g.vertices()]) for name, g in graphs}
     texts["loop_only"] = "a a\n"
     return texts
