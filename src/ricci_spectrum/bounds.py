@@ -164,16 +164,18 @@ def largest_upper(g: WeightedGraph) -> BoundReport:
 
 
 def _sandwich_check(g: WeightedGraph, t: int, lower: float, upper: float):
-    """Check eigenvalues against [lower, upper], skipping those with (1-l)^t = 1."""
-    checked = []
-    skipped = 0
-    for lam in spectrum(g).eigenvalues:
-        if abs((1.0 - lam) ** t - 1.0) <= EIGENVALUE_EXCLUSION_TOL:
-            skipped += 1
-            continue
-        checked.append(float(lam))
+    """Check eigenvalues against [lower, upper], skipping those with (1-l)^t = 1.
+
+    Returns the verdict and the numbers of eigenvalues checked and skipped.
+    """
+    eigenvalues = spectrum(g).eigenvalues
+    # float() keeps _holds a Python bool, not a numpy one
+    checked = [
+        float(lam) for lam in eigenvalues
+        if abs((1.0 - lam) ** t - 1.0) > EIGENVALUE_EXCLUSION_TOL
+    ]
     ok = not checked or _holds(checked[0], checked[-1], lower, upper)
-    return ok, checked, skipped
+    return ok, len(checked), len(eigenvalues) - len(checked)
 
 
 def sandwich_bounds(g: WeightedGraph, t: int) -> BoundReport:
@@ -216,7 +218,7 @@ def sandwich_bounds(g: WeightedGraph, t: int) -> BoundReport:
         verified=ok,
         details={
             "component_restricted": restricted,
-            "eigenvalues_checked": len(checked),
+            "eigenvalues_checked": checked,
             "eigenvalues_skipped": skipped,
         },
     )
@@ -308,20 +310,19 @@ def transfer_bounds(
     )
 
 
-def _edges_as_set(g: WeightedGraph):
-    return {(u, v) for u in g.vertices() for v in g.neighbors(u) if v >= u}
+def _edges_within(a: WeightedGraph, b: WeightedGraph) -> bool:
+    """True when every edge of a, loops included, is an edge of b."""
+    return all(ra.keys() <= rb.keys() for ra, rb in zip(a._rows, b._rows))
 
 
 def _joint_neighbor_stats(g: WeightedGraph):
     """Extremal triangles-plus-loops counts and weights over edges."""
-    sharp_min = sharp_max = None
-    for u, v in _adjacent_pairs(g):
-        count = len(neighbor_partition(g, u, v).n_xy)
-        count += (1 if g.has_loop(u) else 0) + (1 if g.has_loop(v) else 0)
-        sharp_min = count if sharp_min is None else min(sharp_min, count)
-        sharp_max = count if sharp_max is None else max(sharp_max, count)
+    counts = [
+        len(neighbor_partition(g, u, v).n_xy) + g.has_loop(u) + g.has_loop(v)
+        for u, v in _adjacent_pairs(g)
+    ]
     weights = [w for _, _, w in g.edges()]
-    return sharp_min, sharp_max, min(weights), max(weights)
+    return min(counts, default=None), max(counts, default=None), min(weights), max(weights)
 
 
 def joint_neighbor_bounds(g: WeightedGraph) -> BoundReport:
@@ -342,9 +343,8 @@ def joint_neighbor_bounds(g: WeightedGraph) -> BoundReport:
     says so.
     """
     g2 = neighborhood_graph(g, 2)
-    e1, e2 = _edges_as_set(g), _edges_as_set(g2)
-    applies_upper = e1 <= e2
-    applies_lower = e2 <= e1
+    applies_upper = _edges_within(g, g2)
+    applies_lower = _edges_within(g2, g)
     sharp_min, sharp_max, w_min, w_max = _joint_neighbor_stats(g)
     spec = spectrum(g)
 
@@ -450,26 +450,16 @@ def metric_audit(g: WeightedGraph, t: int) -> MetricAudit:
     d_t(x, y) <= d(x, y).
     """
     gt = neighborhood_graph(g, t)
-    dist = g.distance_matrix()
-    dist_t = gt.distance_matrix()
-    n = g.n_vertices
-    lower_holds = True
-    for x in range(n):
-        for y in range(n):
-            d, dt = dist[x][y], dist_t[x][y]
-            if math.isinf(dt):
-                continue
-            if math.isinf(d) or d > t * dt:
-                lower_holds = False
-    edge_subset = _edges_as_set(g) <= _edges_as_set(gt)
-    upper_holds = None
-    if edge_subset:
-        upper_holds = all(
-            dist_t[x][y] <= dist[x][y]
-            for x in range(n)
-            for y in range(n)
-            if not math.isinf(dist[x][y])
-        )
+    # UNREACHABLE is math.inf: a pair G[t] cannot join passes both checks
+    # (d <= inf), and a pair only g cannot join fails the lower one
+    pairs = [
+        pair
+        for row, row_t in zip(g.distance_matrix(), gt.distance_matrix())
+        for pair in zip(row, row_t)
+    ]
+    lower_holds = all(d <= t * dt for d, dt in pairs)
+    edge_subset = _edges_within(g, gt)
+    upper_holds = all(dt <= d for d, dt in pairs) if edge_subset else None
     return MetricAudit(
         t=t, lower_holds=lower_holds, edge_subset=edge_subset, upper_holds=upper_holds
     )
@@ -483,7 +473,7 @@ def curvature_transfer_check(g: WeightedGraph, t: int) -> CurvatureTransferAudit
     and the audit reports inapplicable.
     """
     gt = neighborhood_graph(g, t)
-    if not (_edges_as_set(g) <= _edges_as_set(gt)):
+    if not _edges_within(g, gt):
         return CurvatureTransferAudit(
             t=t, applicable=False,
             reason="some edge of the graph is missing from the walk graph",
@@ -522,11 +512,9 @@ def curvature_transfer_check(g: WeightedGraph, t: int) -> CurvatureTransferAudit
 def k_scan(g: WeightedGraph, t_max: int = 16) -> KScanTable:
     """Sandwich bounds for t = 1..t_max, with the best rows marked."""
     rows = []
-    best_lower_t = best_upper_t = None
-    best_lower = best_upper = None
     for t in range(1, t_max + 1):
         report = sandwich_bounds(g, t)
-        row = KScanRow(
+        rows.append(KScanRow(
             t=t,
             k_exact=report.inputs.get("k_t"),
             k_formula=report.inputs.get("k_t_formula"),
@@ -534,11 +522,12 @@ def k_scan(g: WeightedGraph, t_max: int = 16) -> KScanTable:
             upper=report.upper,
             component_restricted=report.details.get("component_restricted", False),
             verified=report.verified,
-        )
-        rows.append(row)
-        if report.applicable:
-            if best_lower is None or report.lower > best_lower:
-                best_lower, best_lower_t = report.lower, t
-            if best_upper is None or report.upper < best_upper:
-                best_upper, best_upper_t = report.upper, t
-    return KScanTable(rows=tuple(rows), best_lower_t=best_lower_t, best_upper_t=best_upper_t)
+        ))
+    # an inapplicable row has no bounds; max and min keep the smallest t of a tie
+    lowers = {row.t: row.lower for row in rows if row.lower is not None}
+    uppers = {row.t: row.upper for row in rows if row.upper is not None}
+    return KScanTable(
+        rows=tuple(rows),
+        best_lower_t=max(lowers, key=lowers.get, default=None),
+        best_upper_t=min(uppers, key=uppers.get, default=None),
+    )

@@ -115,8 +115,6 @@ def _canonical(value, arithmetic: str):
     if isinstance(value, Fraction):
         return str(value) if arithmetic == "exact" else float(f"{float(value):.15g}")
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
         return float(f"{value:.15g}")
     if isinstance(value, dict):
         return {str(k): _canonical(v, arithmetic) for k, v in value.items()}
@@ -127,8 +125,6 @@ def _canonical(value, arithmetic: str):
             name: _canonical(getattr(value, name), arithmetic)
             for name in value.__dataclass_fields__
         }
-    if isinstance(value, (frozenset, set)):
-        return sorted(value)
     return value
 
 

@@ -141,15 +141,6 @@ def t_step_measure(g: WeightedGraph, x: int, t: int) -> ProbMeasure:
     return one_step_measure(neighborhood_graph(g, t), x)
 
 
-def _reaches(g: WeightedGraph):
-    """For t = 1, 2, ...: per vertex x, the set of ends of the length-t walks from x."""
-    step = [set(g.neighbors(x)) for x in g.vertices()]
-    reach = step
-    while True:
-        yield reach
-        reach = [set().union(*(step[z] for z in r)) for r in reach]
-
-
 def _next_rows(g: WeightedGraph, prev: WeightedGraph) -> tuple:
     """Integer rows of G[t] and their scale, from prev = G[t-1]: each row of prev times M."""
     big = math.lcm(*g._degrees)
@@ -160,7 +151,10 @@ def neighborhood_graph(g: WeightedGraph, t: int) -> WeightedGraph:
     """G[t] with w_xy[t] = (t-step probability x -> y) * d_x; G[1] is g.
 
     G[t] is built once per graph object, from G[t-1], and kept on g, so a
-    repeat call returns the same object.  On every level it builds, row x's
+    repeat call returns the same object.  Every level up to the largest t
+    requested stays on g for g's lifetime, and each level's integers are
+    longer than the last: t = 64 on a 40-vertex random graph holds about
+    22 MB.  On every level it builds, row x's
     support must equal boolean reachability in exactly t steps (the
     g-neighbors of x's neighbors in G[t-1]), and the exact weights must be
     positive on it, sum to d_x and be symmetric; any failure raises
@@ -227,7 +221,11 @@ def first_complete_t(g: WeightedGraph, t_max: int) -> Optional[int]:
     classes and return to the start for the same t).
     """
     n = g.n_vertices
-    for t, reach in zip(range(1, t_max + 1), _reaches(g)):
+    # per vertex x, the ends of the length-t walks from x
+    reach = [row.keys() for row in g._rows]
+    for t in range(1, t_max + 1):
+        if t > 1:
+            reach = [set().union(*(g._rows[z] for z in r)) for r in reach]
         if all(len(r) == n for r in reach):
             return t
     return None

@@ -1,9 +1,13 @@
+import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ricci_spectrum import (
+    bounds,
     build_graph,
     contraction_audit,
     curvature_transfer_check,
@@ -24,7 +28,8 @@ from ricci_spectrum import (
 from ricci_spectrum.cli import parse_edge_list
 from ricci_spectrum.errors import InvalidBoundInput
 from ricci_spectrum.spectrum import spectrum
-from ricci_spectrum.walk import ProbMeasure
+from ricci_spectrum.transport import wasserstein
+from ricci_spectrum.walk import ProbMeasure, one_step_measure
 
 from conftest import (
     complete_graph,
@@ -276,6 +281,69 @@ def test_curvature_transfer_inapplicable():
     assert not audit.applicable
 
 
+def test_contraction_audit_fails_on_an_inflated_w1(monkeypatch):
+    c5 = cycle_graph(5)
+    assert contraction_audit(c5, 3).passed
+    m1, m3 = one_step_measure(c5, 1), one_step_measure(c5, 3)
+
+    def inflated(metric, mu, nu):
+        # k = 0 on C5, so W1 between the walks from 1 and 3 may reach d = 2;
+        # 1/2 + 2 exceeds it at t = 1 and at no other pair or t
+        w1, plan = wasserstein(metric, mu, nu)
+        return (w1 + 2 if (mu, nu) == (m1, m3) else w1), plan
+
+    monkeypatch.setattr(bounds, "wasserstein", inflated)
+    audit = contraction_audit(c5, 3)
+    assert not audit.equality_mode
+    assert audit.passed is False
+    assert audit.max_ratio == Fraction(5, 4)
+    assert audit.witness == (1, 3, 1)
+
+
+def test_contraction_audit_fails_on_a_nonzero_w1_in_equality_mode(monkeypatch):
+    g = lazy_complete(4)
+    solves = []
+
+    def nonzero_first(metric, mu, nu):
+        w1, plan = wasserstein(metric, mu, nu)
+        solves.append(w1)
+        return (w1 + 1 if len(solves) == 1 else w1), plan
+
+    monkeypatch.setattr(bounds, "wasserstein", nonzero_first)
+    audit = contraction_audit(g, 3)
+    assert audit.equality_mode
+    assert audit.passed is False
+    assert audit.witness == (0, 1, 1)  # the first pair at t = 1
+    assert audit.max_ratio is None
+    assert solves == [0] * 18  # the other 17 solves still find identical walks
+
+
+def test_curvature_transfer_fails_below_its_threshold(monkeypatch):
+    real = bounds.ricci_curvature
+
+    def lowered(gt, x, y):
+        value = real(gt, x, y)
+        return dataclasses.replace(value, kappa=Fraction(-1)) if (x, y) == (1, 2) else value
+
+    monkeypatch.setattr(bounds, "ricci_curvature", lowered)
+    audit = curvature_transfer_check(complete_graph(3), 2)
+    assert audit.applicable and audit.threshold == Fraction(1, 2)
+    assert audit.passed is False
+    assert audit.min_kappa == -1
+    assert audit.witness == (1, 2)
+
+
+def test_metric_audit_lower_check_fails_on_a_long_walk_graph_edge(monkeypatch):
+    # a walk-graph edge 0-3 spans 3 hops of C6, more than t = 2 allows
+    c6 = cycle_graph(6)
+    longer = build_graph([(u, v, 1) for u, v, _ in c6.edges()] + [(0, 3, 1)])
+    monkeypatch.setattr(bounds, "neighborhood_graph", lambda g, t: longer)
+    audit = metric_audit(c6, 2)
+    assert audit.lower_holds is False
+    assert audit.edge_subset is True
+    assert audit.upper_holds is True
+
+
 def test_k_scan_pentagon():
     table = k_scan(cycle_graph(5), 4)
     ks = {row.t: row.k_exact for row in table.rows}
@@ -334,3 +402,86 @@ def test_one_step_and_sandwich_bounds_hold_property(g):
         # G[1] = g, so the t = 1 sandwich is the one-step pair k <= lambda, lambda <= 2 - k
         assert abs(sandwiches[0].lower - gap.lower) <= 1e-12
         assert abs(sandwiches[0].upper - largest.upper) <= 1e-12
+
+
+# -- the loops the structural audits replaced, kept as oracles ------------------
+
+
+def _edge_set(g):
+    return {(u, v) for u in g.vertices() for v in g.neighbors(u) if v >= u}
+
+
+def _metric_audit_oracle(g, t):
+    """(lower_holds, edge_subset, upper_holds) with explicit unreachable cases."""
+    dist, dist_t = g.distance_matrix(), neighborhood_graph(g, t).distance_matrix()
+    n = g.n_vertices
+    lower_holds = True
+    for x in range(n):
+        for y in range(n):
+            d, dt = dist[x][y], dist_t[x][y]
+            if math.isinf(dt):
+                continue
+            if math.isinf(d) or d > t * dt:
+                lower_holds = False
+    edge_subset = _edge_set(g) <= _edge_set(neighborhood_graph(g, t))
+    upper_holds = None
+    if edge_subset:
+        upper_holds = all(
+            dist_t[x][y] <= dist[x][y]
+            for x in range(n)
+            for y in range(n)
+            if not math.isinf(dist[x][y])
+        )
+    return lower_holds, edge_subset, upper_holds
+
+
+def _best_rows_oracle(g, t_max):
+    """(best_lower_t, best_upper_t): the first strict improvement wins a tie."""
+    best_lower_t = best_upper_t = best_lower = best_upper = None
+    for t in range(1, t_max + 1):
+        report = sandwich_bounds(g, t)
+        if report.applicable:
+            if best_lower is None or report.lower > best_lower:
+                best_lower, best_lower_t = report.lower, t
+            if best_upper is None or report.upper < best_upper:
+                best_upper, best_upper_t = report.upper, t
+    return best_lower_t, best_upper_t
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+# loop-free trees are bipartite, so their even-t walk graphs disconnect and
+# the unreachable pairs of the metric audit take part
+@given(st.booleans().flatmap(lambda loops: weighted_graphs(loops=loops)))
+def test_structural_audits_match_their_loop_oracles_property(g):
+    for t in range(1, 5):
+        audit = metric_audit(g, t)
+        assert (audit.lower_holds, audit.edge_subset, audit.upper_holds) == (
+            _metric_audit_oracle(g, t)
+        ), t
+    e1, e2 = _edge_set(g), _edge_set(neighborhood_graph(g, 2))
+    details = joint_neighbor_bounds(g).details
+    assert details["edge_subset_of_walk_graph"] is (e1 <= e2)
+    assert details["walk_graph_subset_of_edges"] is (e2 <= e1)
+    table = k_scan(g, 4)
+    assert (table.best_lower_t, table.best_upper_t) == _best_rows_oracle(g, 4)
+
+
+def test_edge_inclusion_counts_loops():
+    # G[2] of K4 has a loop at every vertex; g has loops at only two of them
+    g = build_graph([(u, v, 1) for u in range(4) for v in range(u + 1, 4)] + [(0, 0, 1), (1, 1, 1)])
+    details = joint_neighbor_bounds(g).details
+    assert details["edge_subset_of_walk_graph"] is True
+    assert details["walk_graph_subset_of_edges"] is False
+
+
+def test_metric_audit_on_a_disconnected_graph_matches_its_oracle():
+    # pairs across the two components are unreachable in g and in every G[t]
+    g = build_graph([(0, 1, 1), (2, 3, 1), (3, 3, 1)])
+    for t in range(1, 5):
+        audit = metric_audit(g, t)
+        assert (audit.lower_holds, audit.edge_subset, audit.upper_holds) == (
+            _metric_audit_oracle(g, t)
+        ), t
+    assert metric_audit(g, 1) == bounds.MetricAudit(
+        t=1, lower_holds=True, edge_subset=True, upper_holds=True
+    )

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from ricci_spectrum import neighborhood_graph, walk
+from ricci_spectrum import cli, neighborhood_graph, walk
+from ricci_spectrum.bounds import MetricAudit
 from ricci_spectrum.cli import (
     EXIT_CONFIG,
     EXIT_GRAPH,
@@ -150,6 +151,10 @@ def test_exit_codes(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("usage: ricci-spectrum")
         assert f"ricci-spectrum: error: argument {argument}: " in captured.err
+    assert main(["audit", ok, "--tolerance", "abc"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: ricci-spectrum")
+    assert "ricci-spectrum: error: argument --tolerance: invalid float value: 'abc'" in captured.err
 
 
 def test_audit_command_passes(tmp_path, capsys):
@@ -158,12 +163,28 @@ def test_audit_command_passes(tmp_path, capsys):
     assert "all_passed: True" in capsys.readouterr().out
 
 
+def test_failed_audit_exits_internal(tmp_path, capsys, monkeypatch):
+    def failing(g, t):
+        return MetricAudit(t=t, lower_holds=False, edge_subset=False, upper_holds=None)
+
+    monkeypatch.setattr(cli, "metric_audit", failing)
+    path = _write(tmp_path, "k3.edges", "0 1\n1 2\n0 2\n")
+    assert main(["audit", path, "--t-max", "2"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: an exact audit failed; see the audit section\n"
+
+
 def test_run_report_sections(tmp_path):
     path = _write(tmp_path, "k3.edges", "0 1\n1 2\n0 2\n")
     report = run(_build_parser().parse_args(["report", path, "--t-max", "2"]))
     assert set(report.sections) == {"spectrum", "curvature", "bounds", "audit"}
     assert report.summary["vertices"] == 3
     assert report.summary["bipartite"] is False
+    argv = ["audit", path, "--t-max", "2", "--tolerance", "1e-6"]
+    report = run(_build_parser().parse_args(argv))
+    assert report.config["tolerance"] == 1e-6
+    assert report.sections["audit"]["all_passed"] is True
 
 
 def test_loop_only_graph_report_and_audit_are_inapplicable(tmp_path, capsys):

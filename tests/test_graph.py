@@ -69,6 +69,13 @@ def test_build_rejects_bad_input():
         build_graph([(0, 2, 1)])  # vertex 1 missing from the dense range
     with pytest.raises(TypeError):
         build_graph([(0, 1, 0.5)])  # floats are not exact
+    with pytest.raises(ValueError, match="nonnegative"):
+        build_graph([(-1, 0, 1)])
+
+
+def test_build_pair_without_weight_weighs_one():
+    g = build_graph([(0, 1), (1, 2, 3)])
+    assert g.weight(0, 1) == 1 and g.weight(1, 2) == 3
 
 
 def test_weight_strings_parse_exactly():

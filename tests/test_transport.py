@@ -15,7 +15,7 @@ from ricci_spectrum import (
     verify_plan,
     wasserstein,
 )
-from ricci_spectrum.errors import InfiniteDistance, UnbalancedMeasures
+from ricci_spectrum.errors import CertificateGapNonzero, InfiniteDistance, UnbalancedMeasures
 from ricci_spectrum.transport import _basis_tree, _solve_transportation
 
 from conftest import (
@@ -63,6 +63,17 @@ def test_verify_plan_rejects_perturbation():
     entries[key] += Fraction(1, 1000)
     assert not verify_plan(TransportPlan(entries=entries, cost=plan.cost), mu, nu, c5.distance)
     assert not verify_plan(TransportPlan(entries={}, cost=Fraction(0)), mu, nu, c5.distance)
+
+
+def test_verify_plan_rejects_negative_and_unreachable_entries():
+    # marginals and cost add up; only the sign of two entries is wrong
+    half = {0: Fraction(1, 2), 1: Fraction(1, 2)}
+    entries = {(0, 0): 1, (0, 1): Fraction(-1, 2), (1, 0): Fraction(-1, 2), (1, 1): 1}
+    plan = TransportPlan(entries, Fraction(-1))
+    assert not verify_plan(plan, half, half, cycle_graph(5).distance)
+    unreachable = lambda u, v: math.inf if u != v else 0
+    plan = TransportPlan({(0, 1): Fraction(1)}, Fraction(1))
+    assert not verify_plan(plan, {0: Fraction(1)}, {1: Fraction(1)}, unreachable)
 
 
 def test_unbalanced_rejected():
@@ -125,6 +136,24 @@ def test_split_supports_rejected():
     disconnected_metric = lambda u, v: float("inf") if (u < 2) != (v < 2) else 1
     with pytest.raises(InfiniteDistance):
         wasserstein(disconnected_metric, {0: Fraction(1)}, {2: Fraction(1)})
+
+
+def test_dual_certificate_rejects_a_wrong_primal_cost():
+    c5 = cycle_graph(5)
+    mu, nu = one_step_measure(c5, 0), one_step_measure(c5, 2)
+    w1, _ = wasserstein(c5.distance, mu, nu)
+    with pytest.raises(CertificateGapNonzero, match="dual value"):
+        dual_certificate(c5.distance, mu, nu, w1 + 1)
+
+
+def test_dual_certificate_rejects_a_metric_without_the_triangle_inequality():
+    # d(0, 2) = 5 > d(0, 1) + d(1, 2): the tightened potential f(z) = d(z, 2) - v
+    # differs by 4 between 0 and 1, one hop apart
+    lengths = {frozenset((0, 1)): 1, frozenset((1, 2)): 1, frozenset((0, 2)): 5}
+    metric = lambda u, v: 0 if u == v else lengths[frozenset((u, v))]
+    mu, nu = {0: Fraction(1, 2), 1: Fraction(1, 2)}, {2: Fraction(1)}
+    with pytest.raises(CertificateGapNonzero, match="Lipschitz"):
+        dual_certificate(metric, mu, nu, Fraction(3))
 
 
 def test_dual_certificate_pentagon():

@@ -132,6 +132,21 @@ def test_prob_measure_checks_masses_exactly():
             ProbMeasure(masses)
 
 
+def test_prob_measure_equality_hash_and_repr():
+    c5 = cycle_graph(5)
+    built = ProbMeasure({1: Fraction(1, 2), 4: Fraction(1, 2)})
+    walked = one_step_measure(c5, 0)
+    assert built == walked and hash(built) == hash(walked)
+    assert built != {1: Fraction(1, 2), 4: Fraction(1, 2)}
+    assert (built == "ProbMeasure") is False
+    assert repr(built) == "ProbMeasure({1: 1/2, 4: 1/2})"
+
+
+def test_walk_graph_order_must_be_positive():
+    with pytest.raises(ValueError, match="t must be >= 1"):
+        neighborhood_graph(cycle_graph(5), 0)
+
+
 def test_one_step_equals_t1():
     for _, g in full_corpus()[:20]:
         for x in g.vertices():
