@@ -399,6 +399,8 @@ def contraction_audit(g: WeightedGraph, t_max: int) -> ContractionAudit:
     the right side vanishes and the audit degenerates to the equality check
     W_1 = 0 for every pair.  Both sides stay rational throughout.  Without a
     distinct-vertex edge there is no k, and the audit is inapplicable.
+    Pairs are scanned in (t, x, y) order.  The witness is the first pair of
+    the largest ratio, or in equality mode the first pair with W_1 > 0.
     """
     k = global_lower_bound(g)
     if k is None:
@@ -422,7 +424,7 @@ def contraction_audit(g: WeightedGraph, t_max: int) -> ContractionAudit:
                 bound = shrink * g.distance(x, y)
                 if equality_mode:
                     # k = 1 forces identical walk distributions
-                    if w1 > 0:
+                    if w1 > 0 and passed:
                         passed = False
                         witness = (x, y, t)
                 else:

@@ -6,8 +6,11 @@ marginals are mu and column marginals nu, with cost d(u, v) per unit mass:
     W_1(mu, nu) = min_xi  sum_{u, v} d(u, v) xi(u, v).
 
 Supports here are tiny (at most a vertex neighborhood), so the minimum is
-found by a transportation simplex: northwest-corner start and Bland's
-smallest-index pivoting (which also rules out cycling on degenerate bases).
+found by a transportation simplex: a matrix-minimum start, which fills the
+cheapest cells first, and Bland's smallest-index pivoting (which also rules
+out cycling on degenerate bases from any start).  When every cell left to
+price costs the same, as when all leftover sources and sinks are adjacent,
+every feasible plan is optimal: the start is returned with no pivot.
 The basis tree, rooted at row 0, carries the potentials and the parent
 links along which the entering cell's cycle is found.  It is built once;
 after each pivot only the subtree that the leaving cell cuts off is walked
@@ -28,8 +31,10 @@ denominators, so supply and demand are integers; hop distances are
 integers, so the potentials are too.  Scaling every mass by one positive
 constant changes no pivot choice, so the plan and the duals are those of
 the rational problem.  The cost and the dual gap are divided by the scale
-once at the end, and the plan keeps its integer masses with the scale:
-each entry becomes a Fraction only when it is read.
+once at the end.  The plan keeps the solve's integer pieces with the
+scale: its entries are assembled when the plan is first read, which the
+curvature layer never does, and each becomes a Fraction only when it is
+read.
 
 The same solve yields optimal dual variables, which are tightened over the
 metric into a single 1-Lipschitz potential f with
@@ -58,15 +63,31 @@ ZERO = Fraction(0)
 class _PlanEntries(Mapping):
     """Read-only (source, sink) -> mass view of an integer plan over its scale.
 
-    Holds the plan's integer masses q and one scale; reading a cell returns
-    the reduced Fraction q / scale, built on each read.  Equal to any mapping
-    with the same entries.
+    Holds the pieces of one solve: both measures' scaled masses, supply and
+    demand, the flow between their indices and the scale.  The
+    sorted cell -> integer mass dict, shared mass on (v, v) included, is
+    built when the plan is first read, so a caller that keeps only the cost
+    never pays for it.  Reading a cell returns the reduced Fraction
+    q / scale, built on each read.  Equal to any mapping with the same
+    entries.
     """
 
-    __slots__ = ("_flow", "_scale")
+    __slots__ = ("_solve", "_cells", "_scale")
 
-    def __init__(self, flow: Dict[Tuple[int, int], int], scale: int):
-        self._flow, self._scale = flow, scale
+    def __init__(self, solve: tuple, scale: int):
+        self._solve, self._scale = solve, scale
+
+    @property
+    def _flow(self) -> Dict[Tuple[int, int], int]:
+        try:
+            return self._cells
+        except AttributeError:
+            mu_int, nu_int, supply, demand, flow = self._solve
+            sources, sinks = list(supply), list(demand)
+            cells = {(v, v): min(q, nu_int[v]) for v, q in mu_int.items() if v in nu_int}
+            cells.update(((sources[i], sinks[j]), q) for (i, j), q in flow.items() if q > 0)
+            self._cells = dict(sorted(cells.items()))
+            return self._cells
 
     def __getitem__(self, cell) -> Fraction:
         return Fraction(self._flow[cell], self._scale)
@@ -139,24 +160,36 @@ def _problem(metric: Metric, mu, nu):
     return mu_int, nu_int, supply, demand, cost, scale
 
 
-def _northwest_corner(supply, demand):
-    """Initial basic feasible solution: a flow on exactly m + n - 1 basis cells."""
+def _matrix_minimum(order, supply, demand):
+    """Initial basic feasible solution: a flow on exactly m + n - 1 basis cells.
+
+    ``order`` holds the cell indices i * n + j by increasing cost, row-major
+    within one cost, and cells are visited in that order.  Each cell whose
+    row and column are both open gets min(a_i, b_j) and crosses out one of
+    them: its row if that is exhausted and not the last open row, else its
+    column.  So on a tie a degenerate cell follows in the column.  Every
+    cell crosses out a line that no later cell meets, so no cell closes a
+    cycle, and the m + n - 1 cells span a tree.
+    """
     m, n = len(supply), len(demand)
     a, b = list(supply), list(demand)
+    row_open, col_open = [True] * m, [True] * n
+    rows_left = m
     flow = {}
-    i = j = 0
-    while True:
-        q = min(a[i], b[j])
-        flow[(i, j)] = q
-        a[i] -= q
-        b[j] -= q
-        if i == m - 1 and j == n - 1:
-            break
-        # on simultaneous exhaustion keep the row, producing a degenerate cell
-        if a[i] == 0 and i < m - 1:
-            i += 1
-        else:
-            j += 1
+    for k in order:
+        i, j = divmod(k, n)
+        if row_open[i] and col_open[j]:
+            q = min(a[i], b[j])
+            flow[(i, j)] = q
+            if len(flow) == m + n - 1:
+                return flow
+            a[i] -= q
+            b[j] -= q
+            if a[i] == 0 and rows_left > 1:
+                row_open[i] = False
+                rows_left -= 1
+            else:
+                col_open[j] = False
     return flow
 
 
@@ -230,14 +263,25 @@ def _solve_transportation(cost, supply, demand):
     u_i + v_j <= c_ij with equality on that basis.  Empty supports (zero
     total mass) cost 0 with no flow.
 
-    The basis tree is built once.  A pivot cuts the tree at the leaving
-    cell and joins it again at the entering one, so only the cut-off
-    subtree is walked again, from the entering cell's end inside it.
+    The start is the matrix minimum (see ``_matrix_minimum``).  When every
+    cell costs the same c, every feasible plan costs c per unit, so the
+    start is returned with the duals u = 0, v = c, which are the ones its
+    basis tree gives under u_0 = 0, and no pivot is made.
+
+    Otherwise the basis tree is built once.  A pivot cuts the tree at the
+    leaving cell and joins it again at the entering one, so only the
+    cut-off subtree is walked again, from the entering cell's end inside it.
     """
     m, n = len(supply), len(demand)
     if m == 0:
         return 0, {}, [], []
-    flow = _northwest_corner(supply, demand)
+    flat = [c for row in cost for c in row]
+    order = sorted(range(m * n), key=flat.__getitem__)
+    flow = _matrix_minimum(order, supply, demand)
+    low = flat[order[0]]
+    if low == flat[order[-1]]:
+        # every unit costs low on every cell, so any feasible plan is optimal
+        return low * sum(supply), flow, [0] * m, [low] * n
     adj, pot, parent, depth = _basis_tree(flow, cost, m, n)
     while True:
         # basis cells have reduced cost exactly 0, so only a nonbasic cell can enter
@@ -295,12 +339,9 @@ def wasserstein(metric: Metric, mu, nu) -> Tuple[Fraction, TransportPlan]:
     """
     mu_int, nu_int, supply, demand, cost, scale = _problem(metric, mu, nu)
     total, flow, _, _ = _solve_transportation(cost, [*supply.values()], [*demand.values()])
-    sources, sinks = list(supply), list(demand)
-    entries = {(v, v): min(q, nu_int[v]) for v, q in mu_int.items() if v in nu_int}
-    entries.update(((sources[i], sinks[j]), q) for (i, j), q in flow.items() if q > 0)
     total = Fraction(total, scale)
-    plan = TransportPlan(entries=_PlanEntries(dict(sorted(entries.items())), scale), cost=total)
-    return total, plan
+    entries = _PlanEntries((mu_int, nu_int, supply, demand, flow), scale)
+    return total, TransportPlan(entries=entries, cost=total)
 
 
 def verify_plan(plan: TransportPlan, mu, nu, metric: Metric) -> bool:

@@ -318,6 +318,18 @@ def test_contraction_audit_fails_on_a_nonzero_w1_in_equality_mode(monkeypatch):
     assert solves == [0] * 18  # the other 17 solves still find identical walks
 
 
+def test_contraction_audit_equality_mode_names_the_first_failing_pair(monkeypatch):
+    def inflated(metric, mu, nu):
+        w1, plan = wasserstein(metric, mu, nu)
+        return w1 + 1, plan
+
+    monkeypatch.setattr(bounds, "wasserstein", inflated)
+    audit = contraction_audit(lazy_complete(4), 3)
+    assert audit.equality_mode and audit.passed is False
+    # every pair at every t fails; the first in (t, x, y) order is named
+    assert audit.witness == (0, 1, 1)
+
+
 def test_curvature_transfer_fails_below_its_threshold(monkeypatch):
     real = bounds.ricci_curvature
 

@@ -2,6 +2,7 @@ import math
 import pickle
 import random
 from fractions import Fraction
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -12,11 +13,19 @@ from ricci_spectrum import (
     dual_certificate,
     neighborhood_graph,
     one_step_measure,
+    ricci_curvature,
     verify_plan,
     wasserstein,
 )
+from ricci_spectrum import transport
+from ricci_spectrum.cli import parse_edge_list
 from ricci_spectrum.errors import CertificateGapNonzero, InfiniteDistance, UnbalancedMeasures
-from ricci_spectrum.transport import _basis_tree, _solve_transportation
+from ricci_spectrum.transport import (
+    _basis_cycle,
+    _basis_tree,
+    _matrix_minimum,
+    _solve_transportation,
+)
 
 from conftest import (
     complete_graph,
@@ -27,6 +36,7 @@ from conftest import (
     random_measure,
     weighted_graphs,
 )
+from record_goldens import golden_inputs
 
 
 def test_identical_measures_have_identity_plan():
@@ -342,7 +352,7 @@ def integer_transportation_problems(draw):
     """Cost matrix, supply and demand on at most 5 x 5 cells, with equal totals.
 
     Masses are small, so partial sums of supply and demand often coincide
-    and the northwest corner and later pivots meet degenerate bases.
+    and the matrix-minimum start and later pivots meet degenerate bases.
     """
     supply = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
     total = sum(supply)
@@ -370,6 +380,88 @@ def test_updated_basis_tree_matches_a_rebuilt_one_property(problem):
     assert all(sum(flow.get((i, j), 0) for i in range(m)) == demand[j] for j in range(n))
     rows, columns = dict(enumerate(supply)), dict(enumerate(demand))
     assert total == _network_simplex_cost(lambda i, j: cost[i][j], rows, columns)
+
+
+@st.composite
+def tied_transportation_problems(draw):
+    """An integer_transportation_problems instance whose costs are all c or all in {1, 2}.
+
+    Equal costs take the equal-cost exit, and costs from {1, 2} tie the
+    matrix-minimum start's cell order often.
+    """
+    cost, supply, demand = draw(integer_transportation_problems())
+    values = draw(st.sampled_from([(draw(st.integers(0, 9)),), (1, 2)]))
+    cost = [[draw(st.sampled_from(values)) for _ in row] for row in cost]
+    return cost, supply, demand
+
+
+def _spans(cells, m, n):
+    """Whether the cells, as edges between rows 0..m-1 and columns m..m+n-1, connect all."""
+    adj = [[] for _ in range(m + n)]
+    for i, j in cells:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    seen, stack = {0}, [0]
+    while stack:
+        for b in adj[stack.pop()]:
+            if b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return len(seen) == m + n
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.one_of(integer_transportation_problems(), tied_transportation_problems()))
+def test_matrix_minimum_start_is_a_spanning_basis_property(problem):
+    cost, supply, demand = problem
+    m, n = len(supply), len(demand)
+    order = sorted(range(m * n), key=lambda k: cost[k // n][k % n])
+    flow = _matrix_minimum(order, supply, demand)
+    # m + n - 1 cells that reach all m + n lines form a spanning tree
+    assert len(flow) == m + n - 1
+    assert _spans(flow, m, n)
+    assert all(q >= 0 for q in flow.values())
+    assert all(sum(flow.get((i, j), 0) for j in range(n)) == supply[i] for i in range(m))
+    assert all(sum(flow.get((i, j), 0) for i in range(m)) == demand[j] for j in range(n))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(tied_transportation_problems())
+def test_equal_costs_exit_with_the_rebuilt_tree_duals_property(problem):
+    cost, supply, demand = problem
+    m, n = len(supply), len(demand)
+    costs = {c for row in cost for c in row}
+    pivots = []
+    counted = lambda *args: pivots.append(args) or _basis_cycle(*args)
+    with mock.patch.object(transport, "_basis_cycle", counted):
+        total, flow, u, v = _solve_transportation(cost, supply, demand)
+    rows, columns = dict(enumerate(supply)), dict(enumerate(demand))
+    assert total == _network_simplex_cost(lambda i, j: cost[i][j], rows, columns)
+    assert len(flow) == m + n - 1 and _spans(flow, m, n)
+    _, pot, _, _ = _basis_tree(list(flow), cost, m, n)
+    assert (u, v) == (pot[:m], pot[m:])
+    if len(costs) == 1:
+        (c,) = costs
+        assert pivots == []
+        assert total == c * sum(supply)
+        assert (u, v) == ([0] * m, [c] * n)
+
+
+def test_pivot_count_over_the_golden_corpus(monkeypatch):
+    # pivots are deterministic, unlike time, so this count guards the
+    # start's gain: every adjacent pair of each golden graph's G[1..3]
+    pivots, solves = [], 0
+    counted = lambda *args: pivots.append(args) or _basis_cycle(*args)
+    monkeypatch.setattr(transport, "_basis_cycle", counted)
+    for text in golden_inputs().values():
+        g, _ = parse_edge_list(text)
+        for t in (1, 2, 3):
+            gt = neighborhood_graph(g, t)
+            for x, y, _ in gt.edges():
+                if x != y:
+                    ricci_curvature(gt, x, y)
+                    solves += 1
+    assert (solves, len(pivots)) == (936, 1112)
 
 
 @st.composite
