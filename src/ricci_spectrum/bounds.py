@@ -511,8 +511,12 @@ def curvature_transfer_check(g: WeightedGraph, t: int) -> CurvatureTransferAudit
     )
 
 
-def k_scan(g: WeightedGraph, t_max: int = 16) -> KScanTable:
-    """Sandwich bounds for t = 1..t_max, with the best rows marked."""
+def k_scan(g: WeightedGraph, t_max: int) -> KScanTable:
+    """Sandwich bounds for t = 1..t_max, with the best rows marked.
+
+    t_max has no default: each row costs a curvature minimum over G[t], so
+    the caller sets the budget.
+    """
     rows = []
     for t in range(1, t_max + 1):
         report = sandwich_bounds(g, t)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -219,7 +218,7 @@ def _bounds_section(g: WeightedGraph, t_max: int) -> dict:
     }
 
 
-def _audit_section(g: WeightedGraph, t_max: int, tolerance: float) -> dict:
+def _audit_section(g: WeightedGraph, t_max: int) -> dict:
     contraction = contraction_audit(g, min(t_max, 4))
     metric = [metric_audit(g, t) for t in range(1, t_max + 1)]
     transfer = [curvature_transfer_check(g, t) for t in range(1, t_max + 1)]
@@ -230,7 +229,7 @@ def _audit_section(g: WeightedGraph, t_max: int, tolerance: float) -> dict:
         contraction.passed is not False
         and all(m.lower_holds and m.upper_holds is not False for m in metric)
         and all(c.passed is not False for c in transfer)
-        and all(dev <= tolerance for dev in identity.values())
+        and all(dev <= TRANSFER_IDENTITY_TOL for dev in identity.values())
     )
     return {
         "contraction": contraction,
@@ -252,8 +251,8 @@ def run(args: argparse.Namespace) -> Report:
     report = Report(
         summary=_summary(g, labels),
         config={
-            key: getattr(args, key)
-            for key in ("command", "input", "t", "t_max", "arithmetic", "tolerance")
+            **{key: getattr(args, key) for key in ("command", "input", "t", "t_max", "arithmetic")},
+            "tolerance": TRANSFER_IDENTITY_TOL,
         },
     )
     cmd = args.command
@@ -270,7 +269,7 @@ def run(args: argparse.Namespace) -> Report:
     elif cmd == "bounds":
         report.sections["bounds"] = _bounds_section(g, args.t_max)
     elif cmd == "audit":
-        section = _audit_section(g, args.t_max, args.tolerance)
+        section = _audit_section(g, args.t_max)
         report.sections["audit"] = section
         if not section["all_passed"]:
             raise CertificateGapNonzero("an exact audit failed; see the audit section")
@@ -278,7 +277,7 @@ def run(args: argparse.Namespace) -> Report:
         report.sections["spectrum"] = _spectrum_section(g)
         report.sections["curvature"] = _curvature_section(g, labels)
         report.sections["bounds"] = _bounds_section(g, args.t_max)
-        report.sections["audit"] = _audit_section(g, args.t_max, args.tolerance)
+        report.sections["audit"] = _audit_section(g, args.t_max)
     return report
 
 
@@ -302,17 +301,6 @@ def _walk_length(text: str) -> int:
     return t
 
 
-def _tolerance(text: str) -> float:
-    """The type of --tolerance: a finite positive float."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError("must be finite and positive")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ricci-spectrum",
@@ -332,8 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
     arith.add_argument("--float", dest="arithmetic", action="store_const",
                        const="float", help="render rationals as floats")
     parser.set_defaults(arithmetic="exact")
-    parser.add_argument("--tolerance", type=_tolerance, default=TRANSFER_IDENTITY_TOL,
-                        help="audit tolerance for float identities")
     return parser
 
 

@@ -113,9 +113,6 @@ class WeightedGraph:
     def has_loop(self, x: int) -> bool:
         return x in self._rows[x]
 
-    def loop_weight(self, x: int) -> Fraction:
-        return self.weight(x, x)
-
     def edges(self) -> Iterator[tuple]:
         """All edges (u, v, w) with u <= v, loops included, sorted."""
         for u, row in enumerate(self._rows):
@@ -234,11 +231,12 @@ class NeighborhoodPartition:
 def build_graph(edges: Iterable) -> WeightedGraph:
     """Build a validated WeightedGraph from (u, v, weight) triples.
 
-    Weights must be positive exact values (see :func:`as_weight`); a pair
-    (u, v) may also be given without a weight, which defaults to 1.  Vertex
-    ids must form a dense range 0..N-1 once all edges are read (relabel
-    beforehand if needed; the CLI layer does this for arbitrary labels).
-    u == v creates a loop, whose weight enters d_u once.
+    Weights must be positive exact values (see :func:`as_weight`); every
+    edge carries one (a pair (u, v) without a weight raises ValueError).
+    Vertex ids must form a dense range 0..N-1 once all edges are read
+    (relabel beforehand if needed; the CLI layer does this for arbitrary
+    labels, and fills in a missing weight of 1).  u == v creates a loop,
+    whose weight enters d_u once.
 
     Raises NonPositiveWeight, DuplicateEdge, or EmptyGraph.  Connectivity is
     *not* required here; callers that need it use
@@ -247,13 +245,8 @@ def build_graph(edges: Iterable) -> WeightedGraph:
     seen = set()
     triples = []
     max_id = -1
-    for edge in edges:
-        if len(edge) == 2:
-            u, v = edge
-            w = Fraction(1)
-        else:
-            u, v, raw = edge
-            w = as_weight(raw)
+    for u, v, raw in edges:
+        w = as_weight(raw)
         if not (isinstance(u, int) and isinstance(v, int)) or u < 0 or v < 0:
             raise ValueError(f"vertex ids must be nonnegative integers, got ({u!r}, {v!r})")
         if w <= 0:

@@ -5,7 +5,8 @@ constant                  value    used for
 ========================  =======  ====================================================
 EIGENVALUE_TOL            1e-10    eigensolver facts: lambda_0 = 0, range [0, 2],
                                    bipartite <=> largest eigenvalue = 2
-TRANSFER_IDENTITY_TOL     1e-9     sorted spectrum of the walk graph vs 1 - (1-l)^t
+TRANSFER_IDENTITY_TOL     1e-9     sorted spectrum of the walk graph vs 1 - (1-l)^t,
+                                   the audit's pass mark (not settable from the CLI)
 EIGENVALUE_EXCLUSION_TOL  1e-9     detecting eigenvalues with (1-l)^t = 1, which the
                                    per-component sandwich claim does not cover
 RAYLEIGH_TOL              1e-8     rayleigh_ratio(g, u) vs 2 - l, u a l-eigenfunction

@@ -189,28 +189,19 @@ def heat_kernel(g: WeightedGraph, t: int, x: int, y: int) -> Fraction:
 def lazy_graph(g: WeightedGraph, laziness) -> WeightedGraph:
     """Add loops so the walk stays put with the requested probability.
 
-    ``laziness`` maps each vertex to a staying probability alpha in [0, 1)
-    (a single value applies to every vertex; missing vertices get 0).  Off-
-    loop transition probabilities keep their ratios: the loop at x weighs
-    d_x * alpha / (1 - alpha), so the new walk satisfies m_x(x) = alpha.
-    The input graph must be loop-free.
+    ``laziness`` is one exact staying probability alpha in [0, 1) for every
+    vertex.  Off-loop transition probabilities keep their ratios: the loop
+    at x weighs d_x * alpha / (1 - alpha), so the new walk satisfies
+    m_x(x) = alpha.  The input graph must be loop-free.
     """
     if any(g.has_loop(x) for x in g.vertices()):
         raise LoopAlreadyPresent("lazy_graph requires a loop-free graph")
-    if isinstance(laziness, Mapping):
-        alpha = {x: as_weight(a) for x, a in laziness.items()}
-    else:
-        a = as_weight(laziness)
-        alpha = {x: a for x in g.vertices()}
-
-    edges = list(g.edges())
-    for x, a in alpha.items():
-        _check_vertices(g, x)
-        if not 0 <= a < 1:
-            raise ValueError(f"laziness at {x} must lie in [0, 1), got {a}")
-        if a > 0:
-            edges.append((x, x, g.degree(x) * a / (1 - a)))
-    return build_graph(edges)
+    alpha = as_weight(laziness)
+    if not 0 <= alpha < 1:
+        raise ValueError(f"laziness must lie in [0, 1), got {alpha}")
+    # alpha = 0 adds no loop: build_graph rejects a zero weight
+    loops = [(x, x, g.degree(x) * alpha / (1 - alpha)) for x in g.vertices() if alpha]
+    return build_graph([*g.edges(), *loops])
 
 
 def first_complete_t(g: WeightedGraph, t_max: int) -> Optional[int]:

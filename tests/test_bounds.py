@@ -167,8 +167,10 @@ def test_transfer_one_vertex_inapplicable():
 
 def test_transfer_invalid_inputs():
     c5 = cycle_graph(5)
-    with pytest.raises(InvalidBoundInput):
+    with pytest.raises(InvalidBoundInput, match="impossible for even t"):
         transfer_bounds(c5, 1.2, None, 2)  # even-t gap cannot exceed 1
+    with pytest.raises(InvalidBoundInput, match="exceeds the spectral range"):
+        transfer_bounds(c5, 2.5, None, 3)
     with pytest.raises(InvalidBoundInput):
         transfer_bounds(c5, None, -0.1, 3)
     with pytest.raises(InvalidBoundInput):

@@ -73,9 +73,10 @@ def test_build_rejects_bad_input():
         build_graph([(-1, 0, 1)])
 
 
-def test_build_pair_without_weight_weighs_one():
-    g = build_graph([(0, 1), (1, 2, 3)])
-    assert g.weight(0, 1) == 1 and g.weight(1, 2) == 3
+def test_build_rejects_pair_without_weight():
+    # only the CLI's edge-list reader fills in a missing weight of 1
+    with pytest.raises(ValueError, match="expected 3, got 2"):
+        build_graph([(0, 1), (1, 2, 3)])
 
 
 def test_weight_strings_parse_exactly():
@@ -190,8 +191,8 @@ def _partition_reference(g, x, y):
         n_y1=ny - nx,
         n_x_ge_y={z for z, (a, b) in masses.items() if a >= b},
         n_x_lt_y={z for z, (a, b) in masses.items() if a < b},
-        loop_x=g.loop_weight(x) / dx,
-        loop_y=g.loop_weight(y) / dy,
+        loop_x=g.weight(x, x) / dx,
+        loop_y=g.weight(y, y) / dy,
         edge_mass_x=g.weight(x, y) / dx,
         edge_mass_y=g.weight(x, y) / dy,
         common_min=sum((min(a, b) for a, b in masses.values()), Fraction(0)),
@@ -243,7 +244,7 @@ def test_weight_and_degree_accessors_return_fractions_property(g):
         assert all(type(d) is Fraction for d in h.degrees)
         assert all(type(w) is Fraction for _, _, w in h.edges())
         for x in h.vertices():
-            assert type(h.degree(x)) is Fraction and type(h.loop_weight(x)) is Fraction
+            assert type(h.degree(x)) is Fraction
             assert all(type(h.weight(x, y)) is Fraction for y in h.vertices())
             items = list(h.neighbor_items(x))
             assert all(type(w) is Fraction for _, w in items)
@@ -316,7 +317,7 @@ def test_mass_identity_every_adjacent_pair():
                 lhs = 1 - g.weight(a, b) / da - sum(
                     (g.weight(z, a) / da for z in part.n_xy), Fraction(0)
                 )
-                rhs = g.loop_weight(a) / da + sum(
+                rhs = g.weight(a, a) / da + sum(
                     (g.weight(z, a) / da for z in part.n_x1), Fraction(0)
                 )
                 assert lhs == rhs

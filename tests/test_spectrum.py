@@ -155,7 +155,7 @@ def test_bipartite_iff_largest_eigenvalue_two():
 def test_trace_identity_corpus():
     for _, g in full_corpus():
         loop_mass = sum(
-            (g.loop_weight(x) / g.degree(x) for x in g.vertices()), Fraction(0)
+            (g.weight(x, x) / g.degree(x) for x in g.vertices()), Fraction(0)
         )
         expected = g.n_vertices - float(loop_mass)
         assert abs(float(np.sum(spectrum(g).eigenvalues)) - expected) <= 1e-9

@@ -163,7 +163,7 @@ def test_pentagon_walk_graph_weights():
     c5 = cycle_graph(5)
     g2 = neighborhood_graph(c5, 2)
     for x in range(5):
-        assert g2.loop_weight(x) == 1
+        assert g2.weight(x, x) == 1
     two_hop = {(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)}
     assert {(u, v) for u, v, _ in g2.edges() if u != v} == two_hop
     assert all(w == Fraction(1, 2) for u, v, w in g2.edges() if u != v)
@@ -176,7 +176,7 @@ def test_pentagon_walk_graph_weights():
 
     g4 = neighborhood_graph(c5, 4)
     for x in range(5):
-        assert g4.loop_weight(x) == Fraction(3, 4)
+        assert g4.weight(x, x) == Fraction(3, 4)
     for u, v, w in g4.edges():
         if u == v:
             continue
@@ -324,7 +324,7 @@ def test_heat_kernel_symmetric():
 def test_lazy_graph_uniform_walk():
     for n in (3, 5):
         lazy = lazy_graph(complete_graph(n), Fraction(1, n))
-        assert lazy.loop_weight(0) == 1
+        assert lazy.weight(0, 0) == 1
         uniform = ProbMeasure({v: Fraction(1, n) for v in range(n)})
         assert one_step_measure(lazy, 0) == uniform
 
@@ -332,7 +332,6 @@ def test_lazy_graph_uniform_walk():
 def test_lazy_graph_zero_laziness_is_identity():
     c5 = cycle_graph(5)
     assert lazy_graph(c5, 0) == c5
-    assert lazy_graph(c5, {0: Fraction(0)}) == c5
 
 
 def test_lazy_edge_half():
@@ -346,16 +345,10 @@ def test_lazy_graph_rejects_loops():
 
 
 def test_lazy_graph_rejects_bad_probability():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"laziness must lie in \[0, 1\), got 1$"):
         lazy_graph(complete_graph(2), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"laziness must lie in \[0, 1\), got -1/2$"):
         lazy_graph(complete_graph(2), Fraction(-1, 2))
-
-
-@pytest.mark.parametrize("key", [-1, 5, "0"])
-def test_lazy_graph_rejects_keys_that_are_not_vertices(key):
-    with pytest.raises(ValueError):
-        lazy_graph(cycle_graph(5), {key: Fraction(1, 2)})
 
 
 def test_first_complete_t():
