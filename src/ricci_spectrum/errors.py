@@ -41,10 +41,6 @@ class InfiniteDistance(RicciSpectrumError):
     """Measure supports straddle two metric components."""
 
 
-class UnbalancedMeasures(RicciSpectrumError):
-    """The two mass assignments do not both sum to one."""
-
-
 class InternalInconsistency(RicciSpectrumError):
     """An exact consistency check failed: a bug, not a property of the input."""
 

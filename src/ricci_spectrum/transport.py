@@ -23,14 +23,13 @@ at no cost, since d(v, v) = 0 and d obeys the triangle inequality.  It is
 cancelled before the solve, which then moves only the rest between two
 disjoint supports, and it comes back as (v, v) entries of the plan.
 
-The simplex runs on Python integers only.  Each measure comes in integer
-form, its masses as integer numerators over one denominator (a ProbMeasure
-stores that form; a plain mapping is converted once).  Both are scaled to
-the LCM of the two denominators, which is the LCM of all their mass
-denominators, so supply and demand are integers; hop distances are
-integers, so the potentials are too.  Scaling every mass by one positive
-constant changes no pivot choice, so the plan and the duals are those of
-the rational problem.  The cost and the dual gap are divided by the scale
+The simplex runs on Python integers only.  Both measures are ProbMeasures,
+which store their masses as integer numerators over one denominator, and
+both are scaled to the LCM of the two denominators, which is the LCM of
+all their mass denominators, so supply and demand are integers; the
+metric's distances must be integers, so the potentials are too.  Scaling
+every mass by one positive constant changes no pivot choice, so the plan
+and the duals are those of the rational problem.  The cost and the dual gap are divided by the scale
 once at the end.  The plan keeps the solve's integer pieces with the
 scale: its entries are assembled when the plan is first read, which the
 curvature layer never does, and each becomes a Fraction only when it is
@@ -50,10 +49,11 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Callable, Dict, Tuple, Union
 
-from .errors import CertificateGapNonzero, InfiniteDistance, UnbalancedMeasures
-from .walk import ProbMeasure, _integer_masses
+from .errors import CertificateGapNonzero, InfiniteDistance, InternalInconsistency
+from .walk import ProbMeasure
 
 Metric = Callable[[int, int], Union[int, float]]
 
@@ -117,15 +117,19 @@ class DualCertificate:
     potential: Mapping[int, Fraction]
 
 
-def _integer_form(measure) -> tuple:
-    """A ProbMeasure's or a vertex -> mass mapping's ({v: q * den}, den)."""
-    if isinstance(measure, ProbMeasure):
-        return measure._num, measure._den
-    return _integer_masses(measure, UnbalancedMeasures)
+def _check_measures(mu, nu) -> None:
+    if not (isinstance(mu, ProbMeasure) and isinstance(nu, ProbMeasure)):
+        raise TypeError(
+            f"transport takes two ProbMeasures, got {type(mu).__name__} and {type(nu).__name__}"
+        )
 
 
 def _cost_matrix(metric: Metric, sources, sinks):
-    return [[int(metric(u, v)) for v in sinks] for u in sources]
+    try:
+        return [[index(metric(u, v)) for v in sinks] for u in sources]
+    except TypeError as exc:
+        # int() would truncate a float or Fraction distance, and the result would still verify
+        raise TypeError(f"distances must be integers ({exc})") from exc
 
 
 def _problem(metric: Metric, mu, nu):
@@ -133,21 +137,22 @@ def _problem(metric: Metric, mu, nu):
 
     Every mass q is scaled to the integer q * scale, where scale is the LCM
     of all mass denominators of both measures; mu_int and nu_int map each
-    support vertex to its scaled mass.  The shared mass min(mu(v), nu(v))
-    stays at v for free, so supply and demand keep what is left of mu and
-    of nu once it is cancelled, max(mu(v) - nu(v), 0) and
-    max(nu(v) - mu(v), 0), where it is positive.  Their supports are
+    support vertex to its scaled mass; two ProbMeasures both carry mass 1,
+    so unequal totals are a bug (InternalInconsistency).  The shared mass
+    min(mu(v), nu(v)) stays at v for free, so supply and demand keep what
+    is left of mu and of nu once it is cancelled, max(mu(v) - nu(v), 0)
+    and max(nu(v) - mu(v), 0), where it is positive.  Their supports are
     disjoint, and cost is the metric on them.
     Returns (mu_int, nu_int, supply, demand, cost, scale).
     """
-    (mu_num, mu_den), (nu_num, nu_den) = _integer_form(mu), _integer_form(nu)
-    scale = math.lcm(mu_den, nu_den)
-    mu_int = {v: q * (scale // mu_den) for v, q in mu_num.items()}
-    nu_int = {v: q * (scale // nu_den) for v, q in nu_num.items()}
+    _check_measures(mu, nu)
+    scale = math.lcm(mu._den, nu._den)
+    mu_int = {v: q * (scale // mu._den) for v, q in mu._num.items()}
+    nu_int = {v: q * (scale // nu._den) for v, q in nu._num.items()}
     mu_total, nu_total = sum(mu_int.values()), sum(nu_int.values())
     if mu_total != nu_total:
-        raise UnbalancedMeasures(
-            f"total masses differ: {Fraction(mu_total, scale)} vs {Fraction(nu_total, scale)}"
+        raise InternalInconsistency(
+            f"measures of unequal mass {Fraction(mu_total, scale)} and {Fraction(nu_total, scale)}"
         )
     # finite distances form one component, so one row of checks covers all pairs
     union = sorted(mu_int.keys() | nu_int.keys())
@@ -182,7 +187,7 @@ def _matrix_minimum(order, supply, demand):
             q = min(a[i], b[j])
             flow[(i, j)] = q
             if len(flow) == m + n - 1:
-                return flow
+                break
             a[i] -= q
             b[j] -= q
             if a[i] == 0 and rows_left > 1:
@@ -260,8 +265,8 @@ def _solve_transportation(cost, supply, demand):
 
     Returns (total_cost, flow dict, u, v), all integers, where the flow's
     cells are the final basis and (u, v) are optimal duals satisfying
-    u_i + v_j <= c_ij with equality on that basis.  Empty supports (zero
-    total mass) cost 0 with no flow.
+    u_i + v_j <= c_ij with equality on that basis.  When nothing is left to
+    move (mu == nu) the cost is 0, with no flow.
 
     The start is the matrix minimum (see ``_matrix_minimum``).  When every
     cell costs the same c, every feasible plan costs c per unit, so the
@@ -327,15 +332,14 @@ def _solve_transportation(cost, supply, demand):
 def wasserstein(metric: Metric, mu, nu) -> Tuple[Fraction, TransportPlan]:
     """Exact W_1 between mu and nu under the given distance oracle.
 
-    mu and nu may be ProbMeasure instances or plain vertex->mass mappings;
-    both must carry the same total mass (UnbalancedMeasures otherwise) and
-    their supports must lie in one metric component (InfiniteDistance).
-    Returns the optimal cost and a plan with only its positive entries,
-    held in a read-only mapping that builds each Fraction when it is read;
-    the cost is unique even where the plan is not.  Two measures of zero
-    total mass cost 0 with an empty plan.  The metric is an opaque oracle
+    mu and nu must be ProbMeasures (TypeError otherwise), and their supports
+    must lie in one metric component (InfiniteDistance).  Returns the
+    optimal cost and a plan with only its positive entries, held in a
+    read-only mapping that builds each Fraction when it is read; the cost
+    is unique even where the plan is not.  The metric is an opaque oracle
     called on pairs of support vertices, a hot path, so the support
-    vertices are not checked against any graph.
+    vertices are not checked against any graph; its finite distances must
+    be integers (TypeError otherwise).
     """
     mu_int, nu_int, supply, demand, cost, scale = _problem(metric, mu, nu)
     total, flow, _, _ = _solve_transportation(cost, [*supply.values()], [*demand.values()])
@@ -346,7 +350,7 @@ def wasserstein(metric: Metric, mu, nu) -> Tuple[Fraction, TransportPlan]:
 
 def verify_plan(plan: TransportPlan, mu, nu, metric: Metric) -> bool:
     """Exact feasibility check: marginals match and the cost recomputes."""
-    (mu_num, mu_den), (nu_num, nu_den) = _integer_form(mu), _integer_form(nu)
+    _check_measures(mu, nu)
     row = {}
     col = {}
     total = ZERO
@@ -358,12 +362,11 @@ def verify_plan(plan: TransportPlan, mu, nu, metric: Metric) -> bool:
             return False
         row[u] = row.get(u, ZERO) + q
         col[v] = col.get(v, ZERO) + q
-        total += q * int(d)
-    return (
-        row == {v: Fraction(q, mu_den) for v, q in mu_num.items()}
-        and col == {v: Fraction(q, nu_den) for v, q in nu_num.items()}
-        and total == plan.cost
-    )
+        try:
+            total += q * index(d)
+        except TypeError as exc:
+            raise TypeError(f"distances must be integers, got {d!r} for ({u}, {v})") from exc
+    return row == dict(mu.items()) and col == dict(nu.items()) and total == plan.cost
 
 
 def dual_certificate(metric: Metric, mu, nu, primal_cost: Fraction) -> DualCertificate:
@@ -376,10 +379,8 @@ def dual_certificate(metric: Metric, mu, nu, primal_cost: Fraction) -> DualCerti
     final checks signals a solver bug (CertificateGapNonzero).  The
     potential is built and checked over both original supports, shared
     mass included; when nothing is left to move (mu == nu) it is zero.
-    Inputs are validated as in wasserstein (UnbalancedMeasures,
-    InfiniteDistance).
-    Costs and duals are integers, so the potential is integer-valued; it is
-    empty when both measures have zero total mass.
+    Inputs are validated as in wasserstein (TypeError, InfiniteDistance).
+    Costs and duals are integers, so the potential is integer-valued.
     """
     mu_int, nu_int, supply, demand, cost, scale = _problem(metric, mu, nu)
     _, _, _, v = _solve_transportation(cost, [*supply.values()], [*demand.values()])

@@ -29,39 +29,31 @@ from .errors import InternalInconsistency, LoopAlreadyPresent
 from .graph import ZERO, WeightedGraph, _check_vertices, as_weight, build_graph
 
 
-def _integer_masses(mass: Mapping, negative=ValueError) -> tuple:
-    """Positive masses as integer numerators over one denominator, the LCM of theirs.
-
-    Returns ({v: q * den}, den), keyed in increasing vertex order; zero
-    masses are dropped.  Masses must be exact (ints, Fractions, or strings
-    that Fraction reads): a float raises TypeError, as it would smuggle
-    binary rounding into exact results, and a negative mass ``negative``.
-    """
-    exact = {}
-    for v, m in mass.items():
-        if isinstance(m, float):
-            raise TypeError(f"masses must be exact (int, Fraction or string), got {m!r} at {v}")
-        m = Fraction(m)
-        if m < 0:
-            raise negative(f"negative mass {m} at vertex {v}")
-        if m > 0:
-            exact[v] = m
-    den = math.lcm(*(q.denominator for q in exact.values()))
-    return {v: exact[v].numerator * (den // exact[v].denominator) for v in sorted(exact)}, den
-
-
 class ProbMeasure:
     """Sparse exact probability measure over vertices.
 
-    Masses are positive on the support and must sum to one.  They are stored
-    as integer numerators over one denominator, the LCM of their reduced
-    denominators (see ``_integer_masses``); the accessors return Fractions.
+    Masses must be exact (ints, Fractions, or strings that Fraction reads)
+    and sum to one: a float raises TypeError, as it would smuggle binary
+    rounding into exact results, and a negative mass ValueError; zero
+    masses are dropped.  They are stored as integer numerators over one
+    denominator, the LCM of their reduced denominators, keyed in increasing
+    vertex order; the accessors return Fractions.
     """
 
     __slots__ = ("_num", "_den")
 
     def __init__(self, mass: Mapping[int, Fraction]):
-        num, den = _integer_masses(mass)
+        exact = {}
+        for v, m in mass.items():
+            if isinstance(m, float):
+                raise TypeError(f"masses must be exact (int, Fraction or string), got {m!r} at {v}")
+            m = Fraction(m)
+            if m < 0:
+                raise ValueError(f"negative mass {m} at vertex {v}")
+            if m > 0:
+                exact[v] = m
+        den = math.lcm(*(q.denominator for q in exact.values()))
+        num = {v: exact[v].numerator * (den // exact[v].denominator) for v in sorted(exact)}
         if sum(num.values()) != den:
             raise ValueError("masses must sum to exactly 1")
         self._num, self._den = num, den

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 from ricci_spectrum import (
+    ProbMeasure,
     contraction_audit,
     dual_certificate,
     global_lower_bound,
@@ -152,12 +153,13 @@ def test_criterion_6_transport_against_enumeration():
     count = 0
     while count < 100:
         _, g = graphs[rng.randrange(len(graphs))]
-        mu = random_measure(rng, g.vertices(), 4)
-        nu = random_measure(rng, g.vertices(), 4)
+        plain_mu = random_measure(rng, g.vertices(), 4)
+        plain_nu = random_measure(rng, g.vertices(), 4)
+        mu, nu = ProbMeasure(plain_mu), ProbMeasure(plain_nu)
         cost, plan = wasserstein(g.distance, mu, nu)
         if not verify_plan(plan, mu, nu, g.distance):
             failures.append(f"plan invalid #{count}")
-        if cost != enumerate_transport_optimum(g.distance, mu, nu):
+        if cost != enumerate_transport_optimum(g.distance, plain_mu, plain_nu):
             failures.append(f"cost mismatch #{count}")
         try:
             dual_certificate(g.distance, mu, nu, cost)  # raises on gap/Lipschitz

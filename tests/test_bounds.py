@@ -26,6 +26,7 @@ from ricci_spectrum import (
     transfer_bounds,
 )
 from ricci_spectrum.cli import parse_edge_list
+from ricci_spectrum.bounds import _signed_root
 from ricci_spectrum.errors import InvalidBoundInput
 from ricci_spectrum.spectrum import spectrum
 from ricci_spectrum.transport import wasserstein
@@ -183,6 +184,14 @@ def test_transfer_invalid_inputs():
         transfer_bounds(c5, float("nan"), None, 3)
     with pytest.raises(InvalidBoundInput):
         transfer_bounds(c5, None, float("nan"), 3)
+
+
+def test_signed_root_refuses_an_even_root_of_a_negative():
+    # the callers keep 1 - k[t], 1 - a_t and 1 - min(b_t, 1) nonnegative at even t,
+    # so only a direct call reaches the guard
+    assert _signed_root(-8.0, 3) == pytest.approx(-2.0)
+    with pytest.raises(InvalidBoundInput, match="even-order root of negative value -0.25"):
+        _signed_root(-0.25, 2)
 
 
 def test_joint_neighbors_complete_graph_sharp():

@@ -215,6 +215,13 @@ def test_partition_matches_fraction_reference_property(g):
             assert got == reference
 
 
+def test_graph_equality_with_other_types_and_repr():
+    g = build_graph([(0, 1, 1), (1, 2, 1), (2, 2, Fraction(1, 2))])
+    assert g.__eq__(g._rows) is NotImplemented
+    assert g != g._rows and g != "graph"
+    assert repr(g) == "WeightedGraph(n=3, edges=2, loops=1)"
+
+
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(weighted_graphs(loops=True))
 def test_equal_graphs_compare_and_hash_equal_property(g):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ricci_spectrum import (
+    ProbMeasure,
     TransportPlan,
     dual_certificate,
     neighborhood_graph,
@@ -19,7 +20,7 @@ from ricci_spectrum import (
 )
 from ricci_spectrum import transport
 from ricci_spectrum.cli import parse_edge_list
-from ricci_spectrum.errors import CertificateGapNonzero, InfiniteDistance, UnbalancedMeasures
+from ricci_spectrum.errors import CertificateGapNonzero, InfiniteDistance, InternalInconsistency
 from ricci_spectrum.transport import (
     _basis_cycle,
     _basis_tree,
@@ -58,9 +59,10 @@ def test_pentagon_neighbor_cost_is_one():
 
 def test_single_atom_swap():
     k2 = complete_graph(2)
-    cost, plan = wasserstein(k2.distance, {1: Fraction(1)}, {0: Fraction(1)})
+    cost, plan = wasserstein(k2.distance, ProbMeasure({1: 1}), ProbMeasure({0: 1}))
     assert cost == 1
     assert plan.entries == {(1, 0): Fraction(1)}
+    assert repr(plan.entries) == "{(1, 0): Fraction(1, 1)}"
 
 
 def test_verify_plan_rejects_perturbation():
@@ -77,42 +79,53 @@ def test_verify_plan_rejects_perturbation():
 
 def test_verify_plan_rejects_negative_and_unreachable_entries():
     # marginals and cost add up; only the sign of two entries is wrong
-    half = {0: Fraction(1, 2), 1: Fraction(1, 2)}
+    half = ProbMeasure({0: Fraction(1, 2), 1: Fraction(1, 2)})
     entries = {(0, 0): 1, (0, 1): Fraction(-1, 2), (1, 0): Fraction(-1, 2), (1, 1): 1}
     plan = TransportPlan(entries, Fraction(-1))
     assert not verify_plan(plan, half, half, cycle_graph(5).distance)
     unreachable = lambda u, v: math.inf if u != v else 0
     plan = TransportPlan({(0, 1): Fraction(1)}, Fraction(1))
-    assert not verify_plan(plan, {0: Fraction(1)}, {1: Fraction(1)}, unreachable)
+    assert not verify_plan(plan, ProbMeasure({0: 1}), ProbMeasure({1: 1}), unreachable)
 
 
-def test_unbalanced_rejected():
+def test_only_prob_measures_are_transported():
     c5 = cycle_graph(5)
-    with pytest.raises(UnbalancedMeasures):
-        wasserstein(c5.distance, {0: Fraction(1)}, {1: Fraction(1, 2)})
-    # an unbalanced pair must not get a certificate either
-    with pytest.raises(UnbalancedMeasures):
-        dual_certificate(c5.distance, {0: Fraction(1, 2)}, {1: Fraction(1)}, Fraction(1))
+    mu, plain = one_step_measure(c5, 0), {1: Fraction(1)}
+    _, plan = wasserstein(c5.distance, mu, mu)
+    for call in (
+        lambda: wasserstein(c5.distance, mu, plain),
+        lambda: wasserstein(c5.distance, plain, mu),
+        lambda: dual_certificate(c5.distance, plain, mu, Fraction(1)),
+        lambda: verify_plan(plan, mu, dict(mu.items()), c5.distance),
+    ):
+        with pytest.raises(TypeError, match="ProbMeasure"):
+            call()
 
 
-def test_zero_mass_measures_cost_nothing():
+def test_unequal_masses_are_an_internal_inconsistency():
+    # two ProbMeasures always carry mass 1; one built past __init__'s check does not
     c5 = cycle_graph(5)
-    for mu, nu in (({}, {}), ({0: 0}, {1: 0})):
-        cost, plan = wasserstein(c5.distance, mu, nu)
-        assert cost == 0 and isinstance(cost, Fraction)
-        assert plan == TransportPlan(entries={}, cost=Fraction(0))
-        assert TransportPlan(entries={}, cost=Fraction(0)) == plan
-        assert dual_certificate(c5.distance, mu, nu, cost).potential == {}
+    short = ProbMeasure._from_integers({0: 1, 1: 1}, 3)
+    for call in (
+        lambda: wasserstein(c5.distance, short, ProbMeasure({2: 1})),
+        lambda: dual_certificate(c5.distance, ProbMeasure({2: 1}), short, Fraction(1)),
+    ):
+        with pytest.raises(InternalInconsistency, match="unequal mass"):
+            call()
 
 
-def test_float_masses_rejected():
-    # a float is no exact mass: 0.5 used to pass silently and 0.1 + 0.9 to fail the balance
-    c5 = cycle_graph(5)
-    for mu, nu in (({0: 0.5, 1: 0.5}, {2: 1.0}), ({0: 0.1, 1: 0.9}, {2: 1})):
-        with pytest.raises(TypeError, match="exact"):
-            wasserstein(c5.distance, mu, nu)
-        with pytest.raises(TypeError, match="exact"):
-            dual_certificate(c5.distance, mu, nu, Fraction(1))
+def test_non_integer_distances_rejected():
+    # int() would truncate half hops to 0, and the zero plan and potential would verify
+    half_hops = lambda u, v: abs(u - v) / 2
+    mu, nu = ProbMeasure({0: 1}), ProbMeasure({1: 1})
+    for metric in (half_hops, lambda u, v: Fraction(abs(u - v), 2)):
+        with pytest.raises(TypeError, match="distances must be integers"):
+            wasserstein(metric, mu, nu)
+        with pytest.raises(TypeError, match="distances must be integers"):
+            dual_certificate(metric, mu, nu, Fraction(1, 2))
+        plan = TransportPlan({(0, 1): Fraction(1)}, Fraction(0))
+        with pytest.raises(TypeError, match="distances must be integers"):
+            verify_plan(plan, mu, nu, metric)
 
 
 def test_plan_entries_read_as_reduced_fractions():
@@ -123,13 +136,6 @@ def test_plan_entries_read_as_reduced_fractions():
                 continue
             mu, nu = one_step_measure(gt, x), one_step_measure(gt, y)
             cost, plan = wasserstein(gt.distance, mu, nu)
-            # a plain mapping with the same masses solves the same problem
-            plain_mu, plain_nu = dict(mu.items()), dict(nu.items())
-            assert wasserstein(gt.distance, plain_mu, plain_nu) == (cost, plan)
-            assert (
-                dual_certificate(gt.distance, plain_mu, plain_nu, cost)
-                == dual_certificate(gt.distance, mu, nu, cost)
-            )
             entries = {c: Fraction(q.numerator, q.denominator) for c, q in plan.entries.items()}
             assert plan.entries == entries and entries == plan.entries
             assert list(plan.entries) == sorted(entries)
@@ -145,7 +151,7 @@ def test_plan_entries_read_as_reduced_fractions():
 def test_split_supports_rejected():
     disconnected_metric = lambda u, v: float("inf") if (u < 2) != (v < 2) else 1
     with pytest.raises(InfiniteDistance):
-        wasserstein(disconnected_metric, {0: Fraction(1)}, {2: Fraction(1)})
+        wasserstein(disconnected_metric, ProbMeasure({0: 1}), ProbMeasure({2: 1}))
 
 
 def test_dual_certificate_rejects_a_wrong_primal_cost():
@@ -161,7 +167,7 @@ def test_dual_certificate_rejects_a_metric_without_the_triangle_inequality():
     # differs by 4 between 0 and 1, one hop apart
     lengths = {frozenset((0, 1)): 1, frozenset((1, 2)): 1, frozenset((0, 2)): 5}
     metric = lambda u, v: 0 if u == v else lengths[frozenset((u, v))]
-    mu, nu = {0: Fraction(1, 2), 1: Fraction(1, 2)}, {2: Fraction(1)}
+    mu, nu = ProbMeasure({0: Fraction(1, 2), 1: Fraction(1, 2)}), ProbMeasure({2: 1})
     with pytest.raises(CertificateGapNonzero, match="Lipschitz"):
         dual_certificate(metric, mu, nu, Fraction(3))
 
@@ -196,15 +202,15 @@ def test_dual_certificate_equal_measures():
 
 def test_dual_certificate_k2():
     k2 = complete_graph(2)
-    cert = dual_certificate(k2.distance, {1: Fraction(1)}, {0: Fraction(1)}, Fraction(1))
+    cert = dual_certificate(k2.distance, ProbMeasure({1: 1}), ProbMeasure({0: 1}), Fraction(1))
     assert cert.potential[1] - cert.potential[0] == 1
 
 
 def _random_instance(rng):
     graphs = random_corpus()
     _, g = graphs[rng.randrange(len(graphs))]
-    mu = random_measure(rng, g.vertices(), 4)
-    nu = random_measure(rng, g.vertices(), 4)
+    mu = ProbMeasure(random_measure(rng, g.vertices(), 4))
+    nu = ProbMeasure(random_measure(rng, g.vertices(), 4))
     return g, mu, nu
 
 
@@ -214,7 +220,7 @@ def test_simplex_matches_polytope_enumeration():
         g, mu, nu = _random_instance(rng)
         cost, plan = wasserstein(g.distance, mu, nu)
         assert verify_plan(plan, mu, nu, g.distance)
-        assert cost == enumerate_transport_optimum(g.distance, mu, nu)
+        assert cost == enumerate_transport_optimum(g.distance, dict(mu.items()), dict(nu.items()))
         dual_certificate(g.distance, mu, nu, cost)  # raises on any gap
 
 
@@ -223,9 +229,7 @@ def test_triangle_inequality_random_triples():
     for _ in range(30):
         graphs = random_corpus()
         _, g = graphs[rng.randrange(len(graphs))]
-        mu = random_measure(rng, g.vertices(), 4)
-        nu = random_measure(rng, g.vertices(), 4)
-        rho = random_measure(rng, g.vertices(), 4)
+        mu, nu, rho = (ProbMeasure(random_measure(rng, g.vertices(), 4)) for _ in range(3))
         d_mu_nu, _ = wasserstein(g.distance, mu, nu)
         d_nu_rho, _ = wasserstein(g.distance, nu, rho)
         d_mu_rho, _ = wasserstein(g.distance, mu, rho)
@@ -268,10 +272,9 @@ def test_walk_graph_edges_match_network_simplex():
             for u, v, _ in gt.edges():
                 if u == v:
                     continue
-                mu = dict(one_step_measure(gt, u).items())
-                nu = dict(one_step_measure(gt, v).items())
+                mu, nu = one_step_measure(gt, u), one_step_measure(gt, v)
                 cost, plan = wasserstein(gt.distance, mu, nu)
-                assert cost == _network_simplex_cost(gt.distance, mu, nu)
+                assert cost == _network_simplex_cost(gt.distance, dict(mu.items()), dict(nu.items()))
                 assert verify_plan(plan, mu, nu, gt.distance)
                 dual_certificate(gt.distance, mu, nu, cost)  # raises on any gap
                 solves += 1
@@ -284,10 +287,11 @@ BIG_PRIMES = (2**31 - 1, 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1, 2**521 - 
 
 @st.composite
 def big_denominator_pairs(draw):
-    """Balanced plain mappings on <= 3 atoms each, total mass not 1.
+    """Probability masses on <= 3 atoms each, as plain mappings.
 
-    Every mu atom has its own large prime denominator; nu spreads mu's total
-    over weights with further primes, so the LCM of all denominators is huge.
+    Every atom but the last has a small mass over large primes of its own,
+    and the last atom holds what is left.  mu's first atom is over the
+    product of two primes, so the LCM of all mass denominators is huge.
     """
     graphs = [g for _, g in full_corpus() if g.n_vertices >= 3]
     g = draw(st.sampled_from(graphs))
@@ -296,22 +300,24 @@ def big_denominator_pairs(draw):
     sources = draw(st.lists(st.sampled_from(vertices), min_size=2, max_size=3, unique=True))
     sinks = draw(st.lists(st.sampled_from(vertices), min_size=1, max_size=3, unique=True))
     numerators = st.integers(1, 10**6)
-    mu = {v: Fraction(draw(numerators), p) for v, p in zip(sources, primes)}
-    weights = {v: Fraction(draw(numerators), p) for v, p in zip(sinks, primes[3:])}
-    total = sum(mu.values())
-    nu = {v: w * total / sum(weights.values()) for v, w in weights.items()}
-    return g, mu, nu
+
+    def measure(support, denominators):
+        masses = {v: Fraction(draw(numerators), p) for v, p in zip(support[:-1], denominators)}
+        masses[support[-1]] = 1 - sum(masses.values())
+        return masses
+
+    return g, measure(sources, (primes[0] * primes[1], primes[2])), measure(sinks, primes[3:])
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(big_denominator_pairs())
 def test_integer_simplex_on_huge_denominators(instance):
-    g, mu, nu = instance
-    assert sum(mu.values()) != 1
-    assert math.lcm(*(q.denominator for q in [*mu.values(), *nu.values()])) > 2**64
+    g, plain_mu, plain_nu = instance
+    assert math.lcm(*(q.denominator for q in [*plain_mu.values(), *plain_nu.values()])) > 2**64
+    mu, nu = ProbMeasure(plain_mu), ProbMeasure(plain_nu)
     cost, plan = wasserstein(g.distance, mu, nu)
-    assert cost == _network_simplex_cost(g.distance, mu, nu)
-    assert cost == enumerate_transport_optimum(g.distance, mu, nu)
+    assert cost == _network_simplex_cost(g.distance, plain_mu, plain_nu)
+    assert cost == enumerate_transport_optimum(g.distance, plain_mu, plain_nu)
     reverse, _ = wasserstein(g.distance, nu, mu)
     assert reverse == cost
     assert verify_plan(plan, mu, nu, g.distance)
@@ -493,14 +499,15 @@ def overlapping_measures(draw):
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(overlapping_measures())
 def test_shared_mass_stays_put_property(instance):
-    g, mu, nu = instance
+    g, plain_mu, plain_nu = instance
+    mu, nu = ProbMeasure(plain_mu), ProbMeasure(plain_nu)
     cost, plan = wasserstein(g.distance, mu, nu)
-    assert cost == enumerate_transport_optimum(g.distance, mu, nu)
+    assert cost == enumerate_transport_optimum(g.distance, plain_mu, plain_nu)
     stays = {(a, b): q for (a, b), q in plan.entries.items() if a == b}
-    assert stays == {(v, v): min(q, nu[v]) for v, q in mu.items() if v in nu}
+    assert stays == {(v, v): min(q, nu.mass(v)) for v, q in mu.items() if v in nu.support}
     assert verify_plan(plan, mu, nu, g.distance)
     f = dual_certificate(g.distance, mu, nu, cost).potential
-    assert f.keys() == mu.keys() | nu.keys()
+    assert f.keys() == {*mu.support, *nu.support}
     assert all(abs(f[a] - f[b]) <= g.distance(a, b) for a in f for b in f)
     gap = sum(f[v] * m for v, m in mu.items()) - sum(f[v] * m for v, m in nu.items())
     assert gap == cost
