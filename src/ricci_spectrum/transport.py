@@ -7,16 +7,17 @@ marginals are mu and column marginals nu, with cost d(u, v) per unit mass:
 
 Supports here are tiny (at most a vertex neighborhood), so the minimum is
 found by a transportation simplex: a matrix-minimum start, which fills the
-cheapest cells first, and Bland's smallest-index pivoting (which also rules
-out cycling on degenerate bases from any start).  When every cell left to
-price costs the same, as when all leftover sources and sinks are adjacent,
-every feasible plan is optimal: the start is returned with no pivot.
-The basis tree, rooted at row 0, carries the potentials and the parent
-links along which the entering cell's cycle is found.  It is built once;
-after each pivot only the subtree that the leaving cell cuts off is walked
-again, re-hung from the entering cell (Ahuja, Magnanti and Orlin, *Network
-Flows*, ch. 11).  A rooted spanning tree fixes its parents, depths and
-potentials (u_0 = 0), so every pivot is the one a full rebuild would make.
+cheapest cells first, one cost level at a time, and Bland's smallest-index
+pivoting (which also rules out cycling on degenerate bases from any
+start).  When every cell left to price costs the same, as when all
+leftover sources and sinks are adjacent, every feasible plan is optimal:
+the start is returned with no pivot.  The basis tree, rooted at row 0,
+carries the potentials and the parent links along which the entering
+cell's cycle is found.  It is built once; after each pivot only the
+subtree that the leaving cell cuts off is walked again, re-hung from the
+entering cell (Ahuja, Magnanti and Orlin, *Network Flows*, ch. 11).  A
+rooted spanning tree fixes its parents, depths and potentials (u_0 = 0),
+so every pivot is the one a full rebuild would make.
 
 Mass that both measures put on one vertex, min(mu(v), nu(v)), stays there
 at no cost, since d(v, v) = 0 and d obeys the triangle inequality.  It is
@@ -29,11 +30,18 @@ both are scaled to the LCM of the two denominators, which is the LCM of
 all their mass denominators, so supply and demand are integers; the
 metric's distances must be integers, so the potentials are too.  Scaling
 every mass by one positive constant changes no pivot choice, so the plan
-and the duals are those of the rational problem.  The cost and the dual gap are divided by the scale
-once at the end.  The plan keeps the solve's integer pieces with the
-scale: its entries are assembled when the plan is first read, which the
-curvature layer never does, and each becomes a Fraction only when it is
-read.
+and the duals are those of the rational problem.  The cost and the dual
+gap are divided by the scale once at the end.
+
+Each W_1 is solved once per measure object: wasserstein keeps (W_1, plan)
+on mu, keyed by (metric, nu), for mu's lifetime, so the metric must be a
+fixed function of its two vertices.  A report asks for one edge's
+curvature from many sections, and the repeats cost a dict lookup.  The
+plan holds the solve's inputs only: it is solved again when it is first
+read, which the curvature layer never does, and each entry becomes a
+Fraction only when it is read.  A G[t]'s cached measures keep keys that
+hold ``gt.distance``, and so gt itself: the cycle is freed by Python's
+cyclic garbage collector, not by reference counting.
 
 The same solve yields optimal dual variables, which are tightened over the
 metric into a single 1-Lipschitz potential f with
@@ -61,42 +69,51 @@ ZERO = Fraction(0)
 
 
 class _PlanEntries(Mapping):
-    """Read-only (source, sink) -> mass view of an integer plan over its scale.
+    """Read-only (source, sink) -> mass view of the plan wasserstein found.
 
-    Holds the pieces of one solve: both measures' scaled masses, supply and
-    demand, the flow between their indices and the scale.  The
-    sorted cell -> integer mass dict, shared mass on (v, v) included, is
-    built when the plan is first read, so a caller that keeps only the cost
-    never pays for it.  Reading a cell returns the reduced Fraction
-    q / scale, built on each read.  Equal to any mapping with the same
-    entries.
+    Holds the solve's inputs, not its results: the solve is deterministic,
+    so it is run again when the plan is first read, which the curvature
+    layer never does, and the sorted cell -> integer mass dict, shared mass
+    on (v, v) included, is kept with its scale from then on.  Reading a
+    cell returns the reduced Fraction q / scale, built on each read.  A
+    plan pickles as those entries, not as its metric.  Equal to any mapping
+    with the same entries.
     """
 
-    __slots__ = ("_solve", "_cells", "_scale")
+    __slots__ = ("_metric", "_mu", "_nu", "_read")
 
-    def __init__(self, solve: tuple, scale: int):
-        self._solve, self._scale = solve, scale
+    def __init__(self, metric: Metric, mu: ProbMeasure, nu: ProbMeasure):
+        self._metric, self._mu, self._nu = metric, mu, nu
 
-    @property
-    def _flow(self) -> Dict[Tuple[int, int], int]:
+    def _cells(self) -> Tuple[Dict[Tuple[int, int], int], int]:
         try:
-            return self._cells
+            return self._read
         except AttributeError:
-            mu_int, nu_int, supply, demand, flow = self._solve
+            mu_int, nu_int, supply, demand, cost, scale = _problem(
+                self._metric, self._mu, self._nu
+            )
+            _, flow, _, _ = _solve_transportation(cost, [*supply.values()], [*demand.values()])
             sources, sinks = list(supply), list(demand)
             cells = {(v, v): min(q, nu_int[v]) for v, q in mu_int.items() if v in nu_int}
             cells.update(((sources[i], sinks[j]), q) for (i, j), q in flow.items() if q > 0)
-            self._cells = dict(sorted(cells.items()))
-            return self._cells
+            self._read = dict(sorted(cells.items())), scale
+            return self._read
 
     def __getitem__(self, cell) -> Fraction:
-        return Fraction(self._flow[cell], self._scale)
+        cells, scale = self._cells()
+        return Fraction(cells[cell], scale)
 
     def __iter__(self):
-        return iter(self._flow)
+        return iter(self._cells()[0])
 
     def __len__(self) -> int:
-        return len(self._flow)
+        return len(self._cells()[0])
+
+    def __getstate__(self):
+        return self._cells()
+
+    def __setstate__(self, read):
+        self._read = read
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
@@ -145,7 +162,6 @@ def _problem(metric: Metric, mu, nu):
     disjoint, and cost is the metric on them.
     Returns (mu_int, nu_int, supply, demand, cost, scale).
     """
-    _check_measures(mu, nu)
     scale = math.lcm(mu._den, nu._den)
     mu_int = {v: q * (scale // mu._den) for v, q in mu._num.items()}
     nu_int = {v: q * (scale // nu._den) for v, q in nu._num.items()}
@@ -165,37 +181,46 @@ def _problem(metric: Metric, mu, nu):
     return mu_int, nu_int, supply, demand, cost, scale
 
 
-def _matrix_minimum(order, supply, demand):
+def _matrix_minimum(cost, levels, supply, demand):
     """Initial basic feasible solution: a flow on exactly m + n - 1 basis cells.
 
-    ``order`` holds the cell indices i * n + j by increasing cost, row-major
-    within one cost, and cells are visited in that order.  Each cell whose
-    row and column are both open gets min(a_i, b_j) and crosses out one of
-    them: its row if that is exhausted and not the last open row, else its
-    column.  So on a tie a degenerate cell follows in the column.  Every
-    cell crosses out a line that no later cell meets, so no cell closes a
-    cycle, and the m + n - 1 cells span a tree.
+    ``levels`` holds the distinct costs in increasing order.  Cells are
+    visited one level at a time, and within a level row-major over the
+    lines still open.  Each cell of the level gets min(a_i, b_j) and
+    crosses out one of its lines: its row if that is exhausted and not the
+    last open row, else its column.  So on a tie a degenerate cell follows
+    in the column.  Every cell crosses out a line that no later cell meets,
+    so no cell closes a cycle, and the m + n - 1 cells span a tree.  With a
+    single level this is the northwest-corner walk, m + n - 1 cells long.
     """
     m, n = len(supply), len(demand)
     a, b = list(supply), list(demand)
-    row_open, col_open = [True] * m, [True] * n
+    rows, cols = list(range(m)), list(range(n))
     rows_left = m
     flow = {}
-    for k in order:
-        i, j = divmod(k, n)
-        if row_open[i] and col_open[j]:
-            q = min(a[i], b[j])
-            flow[(i, j)] = q
-            if len(flow) == m + n - 1:
-                break
-            a[i] -= q
-            b[j] -= q
-            if a[i] == 0 and rows_left > 1:
-                row_open[i] = False
-                rows_left -= 1
+    for level in levels:
+        kept = []
+        for i in rows:
+            row = cost[i]
+            k = 0
+            while k < len(cols):
+                j = cols[k]
+                if row[j] != level:
+                    k += 1
+                    continue
+                q = min(a[i], b[j])
+                flow[(i, j)] = q
+                if len(flow) == m + n - 1:
+                    return flow
+                a[i] -= q
+                b[j] -= q
+                if a[i] == 0 and rows_left > 1:
+                    rows_left -= 1
+                    break
+                del cols[k]
             else:
-                col_open[j] = False
-    return flow
+                kept.append(i)
+        rows = kept
 
 
 def _basis_tree(basis, cost, m, n):
@@ -280,12 +305,11 @@ def _solve_transportation(cost, supply, demand):
     m, n = len(supply), len(demand)
     if m == 0:
         return 0, {}, [], []
-    flat = [c for row in cost for c in row]
-    order = sorted(range(m * n), key=flat.__getitem__)
-    flow = _matrix_minimum(order, supply, demand)
-    low = flat[order[0]]
-    if low == flat[order[-1]]:
-        # every unit costs low on every cell, so any feasible plan is optimal
+    levels = sorted(set().union(*cost))
+    flow = _matrix_minimum(cost, levels, supply, demand)
+    if len(levels) == 1:
+        # every unit costs the same on every cell, so any feasible plan is optimal
+        (low,) = levels
         return low * sum(supply), flow, [0] * m, [low] * n
     adj, pot, parent, depth = _basis_tree(flow, cost, m, n)
     while True:
@@ -340,12 +364,25 @@ def wasserstein(metric: Metric, mu, nu) -> Tuple[Fraction, TransportPlan]:
     called on pairs of support vertices, a hot path, so the support
     vertices are not checked against any graph; its finite distances must
     be integers (TypeError otherwise).
+
+    The pair is kept on mu, keyed by (metric, nu), for mu's lifetime: a
+    repeat call returns it unsolved, and a call that raises keeps nothing.
+    The metric compares as an object (``g.distance`` by g's identity) and
+    nu by value, so the metric must be hashable and a fixed function.  The
+    plan is solved again when it is first read.  On a G[t]'s cached
+    measures the ``gt.distance`` keys form a reference cycle through gt,
+    which Python's cyclic garbage collector frees.
     """
-    mu_int, nu_int, supply, demand, cost, scale = _problem(metric, mu, nu)
-    total, flow, _, _ = _solve_transportation(cost, [*supply.values()], [*demand.values()])
-    total = Fraction(total, scale)
-    entries = _PlanEntries((mu_int, nu_int, supply, demand, flow), scale)
-    return total, TransportPlan(entries=entries, cost=total)
+    _check_measures(mu, nu)
+    key = (metric, nu)
+    solved = mu._solved.get(key)
+    if solved is None:
+        _, _, supply, demand, cost, scale = _problem(metric, mu, nu)
+        total, _, _, _ = _solve_transportation(cost, [*supply.values()], [*demand.values()])
+        total = Fraction(total, scale)
+        plan = TransportPlan(entries=_PlanEntries(metric, mu, nu), cost=total)
+        solved = mu._solved[key] = total, plan
+    return solved
 
 
 def verify_plan(plan: TransportPlan, mu, nu, metric: Metric) -> bool:
@@ -381,7 +418,9 @@ def dual_certificate(metric: Metric, mu, nu, primal_cost: Fraction) -> DualCerti
     mass included; when nothing is left to move (mu == nu) it is zero.
     Inputs are validated as in wasserstein (TypeError, InfiniteDistance).
     Costs and duals are integers, so the potential is integer-valued.
+    Each call solves again: nothing is kept.
     """
+    _check_measures(mu, nu)
     mu_int, nu_int, supply, demand, cost, scale = _problem(metric, mu, nu)
     _, _, _, v = _solve_transportation(cost, [*supply.values()], [*demand.values()])
 

@@ -37,10 +37,13 @@ class ProbMeasure:
     rounding into exact results, and a negative mass ValueError; zero
     masses are dropped.  They are stored as integer numerators over one
     denominator, the LCM of their reduced denominators, keyed in increasing
-    vertex order; the accessors return Fractions.
+    vertex order; the accessors return Fractions.  A measure also keeps
+    each W_1 that ``transport.wasserstein`` finds from it, keyed by (metric,
+    partner measure), for its lifetime; equality, hashing and pickling
+    ignore them.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num", "_den", "_solved")
 
     def __init__(self, mass: Mapping[int, Fraction]):
         exact = {}
@@ -56,7 +59,7 @@ class ProbMeasure:
         num = {v: exact[v].numerator * (den // exact[v].denominator) for v in sorted(exact)}
         if sum(num.values()) != den:
             raise ValueError("masses must sum to exactly 1")
-        self._num, self._den = num, den
+        self._num, self._den, self._solved = num, den, {}
 
     @classmethod
     def _from_integers(cls, num: Mapping[int, int], den: int) -> "ProbMeasure":
@@ -69,6 +72,7 @@ class ProbMeasure:
         measure = cls.__new__(cls)
         measure._num = {v: q // common for v, q in num.items()}
         measure._den = den // common
+        measure._solved = {}
         return measure
 
     @property
@@ -96,6 +100,10 @@ class ProbMeasure:
 
     def __hash__(self):
         return hash((self._den, tuple(self._num.items())))
+
+    def __reduce__(self):
+        # the kept solves hold their metrics, which need not pickle
+        return type(self)._from_integers, (self._num, self._den)
 
     def __repr__(self) -> str:
         inside = ", ".join(f"{v}: {m}" for v, m in self.items())

@@ -146,6 +146,76 @@ def test_plan_entries_read_as_reduced_fractions():
             assert verify_plan(TransportPlan(entries=entries, cost=cost), mu, nu, gt.distance)
             with pytest.raises(TypeError):
                 plan.entries[next(iter(entries))] = Fraction(0)
+    # a plan pickles as its entries, not as its metric, which here cannot
+    # pickle, both before its first read and after it
+    metric = lambda u, v: abs(u - v)
+    mu, nu = ProbMeasure({0: 1}), ProbMeasure({1: "1/2", 2: "1/2"})
+    _, plan = wasserstein(metric, mu, nu)
+    unread = pickle.loads(pickle.dumps(plan))
+    assert unread == plan
+    assert pickle.loads(pickle.dumps(plan)) == plan == unread
+    _, fresh = wasserstein(metric, ProbMeasure({0: 1}), ProbMeasure({1: "1/2", 2: "1/2"}))
+    halves = {(0, 1): Fraction(1, 2), (0, 2): Fraction(1, 2)}
+    assert dict(unread.entries) == dict(fresh.entries) == halves
+    # and a measure pickles without the solves it keeps
+    loaded = pickle.loads(pickle.dumps(mu))
+    assert loaded == mu and loaded._solved == {} and mu._solved
+
+
+def _count_solves(monkeypatch):
+    solves = []
+    counted = lambda *args: solves.append(args) or _solve_transportation(*args)
+    monkeypatch.setattr(transport, "_solve_transportation", counted)
+    return solves
+
+
+def test_a_repeat_call_is_answered_from_the_measure(monkeypatch):
+    solves = _count_solves(monkeypatch)
+    c5 = cycle_graph(5)
+    mu = one_step_measure(c5, 0)
+    first = wasserstein(c5.distance, mu, one_step_measure(c5, 2))
+    # an equal partner built anew, and a new bound method of the same graph
+    again = wasserstein(c5.distance, mu, ProbMeasure({1: "1/2", 3: "1/2"}))
+    assert len(solves) == 1
+    assert again[0] is first[0] and again[1] is first[1]
+    # the reverse direction is kept on the other measure
+    wasserstein(c5.distance, one_step_measure(c5, 2), mu)
+    assert len(solves) == 2
+    # the plan is solved again on its first read, and only then
+    assert first[0] == Fraction(1, 2)
+    assert verify_plan(first[1], mu, one_step_measure(c5, 2), c5.distance)
+    assert dict(again[1].entries) == {(1, 1): Fraction(1, 2), (4, 3): Fraction(1, 2)}
+    assert len(solves) == 3
+
+
+def test_each_metric_is_solved_on_its_own(monkeypatch):
+    solves = _count_solves(monkeypatch)
+    g, h = cycle_graph(5), cycle_graph(5)
+    assert g == h and g is not h
+    mu, nu = ProbMeasure({0: 1}), ProbMeasure({2: 1})
+    assert wasserstein(g.distance, mu, nu)[0] == 2
+    assert wasserstein(h.distance, mu, nu)[0] == 2
+    assert len(solves) == 2
+    doubled = lambda u, v: 2 * g.distance(u, v)
+    assert wasserstein(doubled, mu, nu)[0] == 4
+    assert wasserstein(doubled, mu, nu)[0] == 4
+    assert len(solves) == 3
+
+
+def test_a_call_that_raises_keeps_nothing():
+    split = lambda u, v: math.inf if (u < 2) != (v < 2) else abs(u - v)
+    half_hops = lambda u, v: abs(u - v) / 2
+    short = ProbMeasure._from_integers({0: 1, 1: 1}, 3)
+    cases = [
+        (InfiniteDistance, split, ProbMeasure({0: 1}), ProbMeasure({2: 1})),
+        (TypeError, half_hops, ProbMeasure({0: 1}), ProbMeasure({1: 1})),
+        (InternalInconsistency, cycle_graph(5).distance, short, ProbMeasure({2: 1})),
+    ]
+    for error, metric, mu, nu in cases:
+        for _ in range(2):
+            with pytest.raises(error):
+                wasserstein(metric, mu, nu)
+        assert mu._solved == {}
 
 
 def test_split_supports_rejected():
@@ -416,19 +486,55 @@ def _spans(cells, m, n):
     return len(seen) == m + n
 
 
+def _levels(cost):
+    return sorted({c for row in cost for c in row})
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(st.one_of(integer_transportation_problems(), tied_transportation_problems()))
 def test_matrix_minimum_start_is_a_spanning_basis_property(problem):
     cost, supply, demand = problem
     m, n = len(supply), len(demand)
-    order = sorted(range(m * n), key=lambda k: cost[k // n][k % n])
-    flow = _matrix_minimum(order, supply, demand)
+    flow = _matrix_minimum(cost, _levels(cost), supply, demand)
     # m + n - 1 cells that reach all m + n lines form a spanning tree
     assert len(flow) == m + n - 1
     assert _spans(flow, m, n)
     assert all(q >= 0 for q in flow.values())
     assert all(sum(flow.get((i, j), 0) for j in range(n)) == supply[i] for i in range(m))
     assert all(sum(flow.get((i, j), 0) for i in range(m)) == demand[j] for j in range(n))
+
+
+def _sorted_order_start(cost, supply, demand):
+    """The matrix-minimum start over all m * n cells sorted by cost, row-major on ties."""
+    m, n = len(supply), len(demand)
+    a, b = list(supply), list(demand)
+    row_open, col_open = [True] * m, [True] * n
+    rows_left = m
+    flow = {}
+    for k in sorted(range(m * n), key=lambda k: cost[k // n][k % n]):
+        i, j = divmod(k, n)
+        if row_open[i] and col_open[j] and len(flow) < m + n - 1:
+            q = min(a[i], b[j])
+            flow[(i, j)] = q
+            a[i] -= q
+            b[j] -= q
+            if a[i] == 0 and rows_left > 1:
+                row_open[i] = False
+                rows_left -= 1
+            else:
+                col_open[j] = False
+    return flow
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.one_of(integer_transportation_problems(), tied_transportation_problems()))
+def test_matrix_minimum_start_follows_the_sorted_cell_order_property(problem):
+    # visiting level by level over the open lines fills the same cells, in
+    # the same order, with the same masses as the sort of all m * n cells
+    cost, supply, demand = problem
+    flow = _matrix_minimum(cost, _levels(cost), supply, demand)
+    expected = _sorted_order_start(cost, supply, demand)
+    assert list(flow.items()) == list(expected.items())
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
