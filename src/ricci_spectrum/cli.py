@@ -11,8 +11,10 @@ audit --t-max, report.  Output is a human table or canonical JSON
 (--format json: sorted keys, rationals as "p/q" strings, floats with 15
 significant digits) that is byte-identical across runs.
 
-Exit codes: 0 ok, 2 option or edge-list parse error, 3 invalid graph,
-4 internal consistency failure.
+Exit codes: 0 ok; 2 an option or parse error, or a file that is unreadable
+or not UTF-8; 3 an invalid graph, or an exact value past the 4300-digit
+limit on printing an int (--float avoids it, but not in neighborhood's
+edge list); 4 an internal consistency failure, such as a failed audit.
 """
 
 from __future__ import annotations
@@ -55,8 +57,6 @@ EXIT_CONFIG = 2
 EXIT_GRAPH = 3
 EXIT_INTERNAL = 4
 
-COMMANDS = ("spectrum", "curvature", "neighborhood", "bounds", "audit", "report")
-
 
 @dataclass
 class Report:
@@ -69,12 +69,10 @@ class Report:
 def parse_edge_list(text: str):
     """Parse an edge-list document into (WeightedGraph, label table)."""
     labels: dict = {}
-    order: list = []
 
     def vertex_id(token: str) -> int:
         if token not in labels:
             labels[token] = len(labels)
-            order.append(token)
         return labels[token]
 
     edges = []
@@ -98,7 +96,7 @@ def parse_edge_list(text: str):
             raise NonPositiveWeight(f"line {line_no}: non-positive weight {w}")
         edges.append((u, v, w))
     graph = build_graph(edges)
-    return graph, tuple(order)
+    return graph, tuple(labels)
 
 
 def format_edge_list(g: WeightedGraph, labels) -> str:
@@ -157,7 +155,7 @@ def report_to_table(report: Report, arithmetic: str) -> str:
     return "\n".join(_walk_lines(body)) + "\n"
 
 
-# -- sections -------------------------------------------------------------------
+# -- sections: each builder takes (graph, labels, parsed command line) -----------
 
 
 def _summary(g: WeightedGraph, labels) -> dict:
@@ -172,7 +170,7 @@ def _summary(g: WeightedGraph, labels) -> dict:
     }
 
 
-def _spectrum_section(g: WeightedGraph) -> dict:
+def _spectrum_section(g: WeightedGraph, labels, args) -> dict:
     spec = spectrum(g)
     return {
         "eigenvalues": [float(v) for v in spec.eigenvalues],
@@ -181,7 +179,7 @@ def _spectrum_section(g: WeightedGraph) -> dict:
     }
 
 
-def _curvature_section(g: WeightedGraph, labels) -> dict:
+def _curvature_section(g: WeightedGraph, labels, args) -> dict:
     per_edge = []
     for u, v in _adjacent_pairs(g):
         value = ricci_curvature(g, u, v)
@@ -208,17 +206,21 @@ def _curvature_section(g: WeightedGraph, labels) -> dict:
     }
 
 
-def _bounds_section(g: WeightedGraph, t_max: int) -> dict:
-    table = k_scan(g, t_max)
+def _neighborhood_section(g: WeightedGraph, labels, args) -> dict:
+    return {"t": args.t, "edge_list": format_edge_list(neighborhood_graph(g, args.t), labels)}
+
+
+def _bounds_section(g: WeightedGraph, labels, args) -> dict:
     return {
         "spectral_gap": ollivier_lower(g),
         "largest_eigenvalue": largest_upper(g),
         "joint_neighbors": joint_neighbor_bounds(g),
-        "k_scan": table,
+        "k_scan": k_scan(g, args.t_max),
     }
 
 
-def _audit_section(g: WeightedGraph, t_max: int) -> dict:
+def _audit_section(g: WeightedGraph, labels, args) -> dict:
+    t_max = args.t_max
     contraction = contraction_audit(g, min(t_max, 4))
     metric = [metric_audit(g, t) for t in range(1, t_max + 1)]
     transfer = [curvature_transfer_check(g, t) for t in range(1, t_max + 1)]
@@ -240,6 +242,17 @@ def _audit_section(g: WeightedGraph, t_max: int) -> dict:
     }
 
 
+#: The section each command builds; ``report`` builds REPORT_SECTIONS.
+SECTIONS = {
+    "spectrum": _spectrum_section,
+    "curvature": _curvature_section,
+    "neighborhood": _neighborhood_section,
+    "bounds": _bounds_section,
+    "audit": _audit_section,
+}
+REPORT_SECTIONS = ("spectrum", "curvature", "bounds", "audit")
+
+
 def run(args: argparse.Namespace) -> Report:
     """Execute a parsed command line's command on its edge-list file."""
     with open(args.input, "r", encoding="utf-8") as fh:
@@ -255,29 +268,11 @@ def run(args: argparse.Namespace) -> Report:
             "tolerance": TRANSFER_IDENTITY_TOL,
         },
     )
-    cmd = args.command
-    if cmd == "spectrum":
-        report.sections["spectrum"] = _spectrum_section(g)
-    elif cmd == "curvature":
-        report.sections["curvature"] = _curvature_section(g, labels)
-    elif cmd == "neighborhood":
-        gt = neighborhood_graph(g, args.t)
-        report.sections["neighborhood"] = {
-            "t": args.t,
-            "edge_list": format_edge_list(gt, labels),
-        }
-    elif cmd == "bounds":
-        report.sections["bounds"] = _bounds_section(g, args.t_max)
-    elif cmd == "audit":
-        section = _audit_section(g, args.t_max)
-        report.sections["audit"] = section
-        if not section["all_passed"]:
-            raise CertificateGapNonzero("an exact audit failed; see the audit section")
-    elif cmd == "report":
-        report.sections["spectrum"] = _spectrum_section(g)
-        report.sections["curvature"] = _curvature_section(g, labels)
-        report.sections["bounds"] = _bounds_section(g, args.t_max)
-        report.sections["audit"] = _audit_section(g, args.t_max)
+    names = REPORT_SECTIONS if args.command == "report" else (args.command,)
+    for name in names:
+        report.sections[name] = SECTIONS[name](g, labels, args)
+    if "audit" in report.sections and not report.sections["audit"]["all_passed"]:
+        raise CertificateGapNonzero("an exact audit failed; see the audit section")
     return report
 
 
@@ -307,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact curvature, walk graphs, spectra and eigenvalue bounds "
         "for weighted graphs with loops.",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=(*SECTIONS, "report"))
     parser.add_argument("input", help="edge-list file ('u v w' lines)")
     parser.add_argument("--t", type=_walk_length, default=2,
                         help="walk length (neighborhood)")
@@ -330,8 +325,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        report = run(args)
-    except (ParseError, FileNotFoundError) as exc:
+        text = render(run(args), args)
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InternalInconsistency as exc:
@@ -340,7 +335,7 @@ def main(argv=None) -> int:
     except (RicciSpectrumError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GRAPH
-    sys.stdout.write(render(report, args))
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ricci_spectrum import cli, neighborhood_graph, walk
 from ricci_spectrum.bounds import MetricAudit
@@ -134,6 +140,14 @@ def test_exit_codes(tmp_path, capsys):
     duplicate = _write(tmp_path, "dup.edges", "0 1\n1 0\n")
     assert main(["spectrum", duplicate]) == EXIT_GRAPH
     capsys.readouterr()
+    # a file that cannot be read, or is not UTF-8, is an input error
+    not_utf8 = tmp_path / "latin1.edges"
+    not_utf8.write_bytes(b"\xff 1\n")
+    for unreadable in (str(tmp_path), str(not_utf8)):
+        assert main(["spectrum", unreadable]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     ok = _write(tmp_path, "ok.edges", "0 1\n")
     # an option error is argparse's: usage and a message naming the argument
     for argv, argument in (
@@ -169,13 +183,14 @@ def test_audit_command_passes(tmp_path, capsys):
     assert "all_passed: True" in capsys.readouterr().out
 
 
-def test_failed_audit_exits_internal(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["audit", "report"])
+def test_failed_audit_exits_internal(tmp_path, capsys, monkeypatch, command):
     def failing(g, t):
         return MetricAudit(t=t, lower_holds=False, edge_subset=False, upper_holds=None)
 
     monkeypatch.setattr(cli, "metric_audit", failing)
     path = _write(tmp_path, "k3.edges", "0 1\n1 2\n0 2\n")
-    assert main(["audit", path, "--t-max", "2"]) == EXIT_INTERNAL
+    assert main([command, path, "--t-max", "2"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: an exact audit failed; see the audit section\n"
@@ -236,3 +251,57 @@ def test_joint_neighbor_bound_outside_float_range_is_dropped(tmp_path, capsys, m
     assert joint["lower"] is None and "lower_exact" not in joint["details"]
     assert joint["reason"].endswith("the exact lower bound overflows a float64")
     assert joint["applicable"] is True and joint["upper"] == 2.0 and joint["verified"] is True
+
+
+# -- the exit-code contract over a token grammar of edge-list text --------------
+
+LABELS = ["a", "é", "١", "0"]
+# 10**39 + 3 is the least 40-digit prime, so 1/p keeps a long denominator in G[t]
+WEIGHTS = ["1", "0", "-1", "1/0", "nan", "inf", "1e400", "1e-400", "1e5000",
+           "0x10", "1_000", f"1/{10**39 + 3}"]
+
+
+@st.composite
+def edge_list_lines(draw):
+    """Mostly edges, as one bad line spoils a document; else a blank, a
+    comment or an edge with extra columns."""
+    kind = draw(st.sampled_from(["edge"] * 4 + ["extra columns", "blank"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   ", "# comment"]))
+    tokens = [draw(st.sampled_from(LABELS)), draw(st.sampled_from(LABELS))]
+    weight = draw(st.sampled_from(["none", "1", "any"]))
+    if weight != "none":
+        tokens.append("1" if weight == "1" else draw(st.sampled_from(WEIGHTS)))
+    if kind == "extra columns":
+        tokens += draw(st.lists(st.sampled_from(LABELS + WEIGHTS), min_size=1, max_size=2))
+    return " ".join(tokens) + draw(st.sampled_from(["", "  # note"]))
+
+
+CASE_1 = ["a b 1e5000", "b c 1", "a c 1"]  # kappa's exact digits pass the 4300-digit limit
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    lines=st.lists(edge_list_lines(), min_size=1, max_size=6),
+    command=st.sampled_from([*cli.SECTIONS, "report"]),
+    fmt=st.sampled_from(["table", "json"]),
+    arithmetic=st.sampled_from(["--exact", "--float"]),
+)
+@example(lines=CASE_1, command="curvature", fmt="table", arithmetic="--exact")
+@example(lines=CASE_1, command="curvature", fmt="json", arithmetic="--exact")
+def test_every_document_ends_in_a_documented_exit(lines, command, fmt, arithmetic):
+    # a nonzero exit prints one error line and nothing else, never a traceback
+    length = ["--t", "2"] if command == "neighborhood" else ["--t-max", "2"]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.edges")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, path, "--format", fmt, arithmetic, *length])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_GRAPH), err.getvalue()
+    if code == EXIT_OK:
+        assert out.getvalue() and not err.getvalue()
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
