@@ -183,8 +183,7 @@ def test_audit_command_passes(tmp_path, capsys):
     assert "all_passed: True" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", ["audit", "report"])
-def test_failed_audit_exits_internal(tmp_path, capsys, monkeypatch, command):
+def _assert_failed_audit_exits_internal(tmp_path, capsys, monkeypatch, command):
     def failing(g, t):
         return MetricAudit(t=t, lower_holds=False, edge_subset=False, upper_holds=None)
 
@@ -194,6 +193,14 @@ def test_failed_audit_exits_internal(tmp_path, capsys, monkeypatch, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: an exact audit failed; see the audit section\n"
+
+
+def test_failed_audit_exits_internal(tmp_path, capsys, monkeypatch):
+    _assert_failed_audit_exits_internal(tmp_path, capsys, monkeypatch, "audit")
+
+
+def test_failed_audit_in_report_exits_internal(tmp_path, capsys, monkeypatch):
+    _assert_failed_audit_exits_internal(tmp_path, capsys, monkeypatch, "report")
 
 
 def test_run_report_sections(tmp_path):
