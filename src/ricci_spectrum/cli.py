@@ -101,8 +101,19 @@ def parse_edge_list(text: str):
 
 def format_edge_list(g: WeightedGraph, labels) -> str:
     """Render a graph in the input dialect (exact weights, sorted edges)."""
-    lines = [f"{labels[u]} {labels[v]} {w}" for u, v, w in g.edges()]
+    lines = [f"{labels[u]} {labels[v]} {_exact_text(w)}" for u, v, w in g.edges()]
     return "\n".join(lines) + "\n"
+
+
+def _exact_text(value: Fraction) -> str:
+    """str(value); past Python's limit on the digits of an int, an error that names --float."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise RicciSpectrumError(
+            "an exact value has too many digits to print; --float prints it as a float, "
+            "except in an edge list"
+        ) from exc
 
 
 # -- canonical serialization ---------------------------------------------------
@@ -110,7 +121,7 @@ def format_edge_list(g: WeightedGraph, labels) -> str:
 
 def _canonical(value, arithmetic: str):
     if isinstance(value, Fraction):
-        return str(value) if arithmetic == "exact" else float(f"{float(value):.15g}")
+        return _exact_text(value) if arithmetic == "exact" else float(f"{float(value):.15g}")
     if isinstance(value, float):
         return float(f"{value:.15g}")
     if isinstance(value, dict):

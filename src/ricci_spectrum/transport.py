@@ -5,19 +5,19 @@ marginals are mu and column marginals nu, with cost d(u, v) per unit mass:
 
     W_1(mu, nu) = min_xi  sum_{u, v} d(u, v) xi(u, v).
 
-Supports here are tiny (at most a vertex neighborhood), so the minimum is
-found by a transportation simplex: a matrix-minimum start, which fills the
-cheapest cells first, one cost level at a time, and Bland's smallest-index
-pivoting (which also rules out cycling on degenerate bases from any
-start).  When every cell left to price costs the same, as when all
-leftover sources and sinks are adjacent, every feasible plan is optimal:
-the start is returned with no pivot.  The basis tree, rooted at row 0,
-carries the potentials and the parent links along which the entering
-cell's cycle is found.  It is built once; after each pivot only the
-subtree that the leaving cell cuts off is walked again, re-hung from the
-entering cell (Ahuja, Magnanti and Orlin, *Network Flows*, ch. 11).  A
-rooted spanning tree fixes its parents, depths and potentials (u_0 = 0),
-so every pivot is the one a full rebuild would make.
+Supports here are tiny (at most a vertex neighborhood), and each W_1 is
+routed by the number of distinct costs between what is left to move:
+- one, c: every plan costs c times the mass M, with no solve;
+- two, lo < hi, as on the walk graphs G[t], where the leftover sits next
+  to an edge's ends: hi * M - (hi - lo) * F, for F the maximum flow over
+  the lo cells, certified by a cut of the same size;
+- more: a transportation simplex with a matrix-minimum start, one cost
+  level at a time, and Bland's smallest-index pivoting, which rules out
+  cycling.  Its basis tree, rooted at row 0, carries the potentials and
+  the parent links along which the entering cell's cycle is found; after
+  each pivot only the subtree that the leaving cell cuts off is re-hung
+  (Ahuja, Magnanti and Orlin, *Network Flows*, ch. 11).  Every solve ends
+  with an integer check of feasibility and strong duality.
 
 Mass that both measures put on one vertex, min(mu(v), nu(v)), stays there
 at no cost, since d(v, v) = 0 and d obeys the triangle inequality.  It is
@@ -37,8 +37,8 @@ Each W_1 is solved once per measure object: wasserstein keeps (W_1, plan)
 on mu, keyed by (metric, nu), for mu's lifetime, so the metric must be a
 fixed function of its two vertices.  A report asks for one edge's
 curvature from many sections, and the repeats cost a dict lookup.  The
-plan holds the solve's inputs only: it is solved again when it is first
-read, which the curvature layer never does, and each entry becomes a
+plan holds the solve's inputs only: the simplex solves it on its first
+read, which the curvature layer never makes, and each entry becomes a
 Fraction only when it is read.  A G[t]'s cached measures keep keys that
 hold ``gt.distance``, and so gt itself: the cycle is freed by Python's
 cyclic garbage collector, not by reference counting.
@@ -57,7 +57,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
+from operator import index, mul
 from typing import Callable, Dict, Tuple, Union
 
 from .errors import CertificateGapNonzero, InfiniteDistance, InternalInconsistency
@@ -89,12 +89,11 @@ class _PlanEntries(Mapping):
         try:
             return self._read
         except AttributeError:
-            mu_int, nu_int, supply, demand, cost, scale = _problem(
-                self._metric, self._mu, self._nu
-            )
+            supply, demand, cost, scale = _leftover(self._metric, self._mu, self._nu)
             _, flow, _, _ = _solve_transportation(cost, [*supply.values()], [*demand.values()])
             sources, sinks = list(supply), list(demand)
-            cells = {(v, v): min(q, nu_int[v]) for v, q in mu_int.items() if v in nu_int}
+            (mu, fm), (nu, fn) = ((m._num, scale // m._den) for m in (self._mu, self._nu))
+            cells = {(v, v): min(q * fm, nu[v] * fn) for v, q in mu.items() if v in nu}
             cells.update(((sources[i], sinks[j]), q) for (i, j), q in flow.items() if q > 0)
             self._read = dict(sorted(cells.items())), scale
             return self._read
@@ -149,36 +148,29 @@ def _cost_matrix(metric: Metric, sources, sinks):
         raise TypeError(f"distances must be integers ({exc})") from exc
 
 
-def _problem(metric: Metric, mu, nu):
-    """Both measures on integers, and the part of them that has to move.
+def _leftover(metric: Metric, mu, nu):
+    """(supply, demand, cost, scale): what is left to move, on integers.
 
-    Every mass q is scaled to the integer q * scale, where scale is the LCM
-    of all mass denominators of both measures; mu_int and nu_int map each
-    support vertex to its scaled mass; two ProbMeasures both carry mass 1,
-    so unequal totals are a bug (InternalInconsistency).  The shared mass
-    min(mu(v), nu(v)) stays at v for free, so supply and demand keep what
-    is left of mu and of nu once it is cancelled, max(mu(v) - nu(v), 0)
-    and max(nu(v) - mu(v), 0), where it is positive.  Their supports are
-    disjoint, and cost is the metric on them.
-    Returns (mu_int, nu_int, supply, demand, cost, scale).
+    Masses are scaled by the LCM of the two denominators; two ProbMeasures
+    both carry mass 1, so unequal totals are a bug (InternalInconsistency).
+    The shared mass min(mu(v), nu(v)) stays at v for free, so supply and
+    demand keep max(mu(v) - nu(v), 0) and max(nu(v) - mu(v), 0) where it is
+    positive.  Their supports are disjoint, and cost is the metric on them.
     """
     scale = math.lcm(mu._den, nu._den)
-    mu_int = {v: q * (scale // mu._den) for v, q in mu._num.items()}
-    nu_int = {v: q * (scale // nu._den) for v, q in nu._num.items()}
-    mu_total, nu_total = sum(mu_int.values()), sum(nu_int.values())
-    if mu_total != nu_total:
-        raise InternalInconsistency(
-            f"measures of unequal mass {Fraction(mu_total, scale)} and {Fraction(nu_total, scale)}"
-        )
+    mu_num, nu_num, fm, fn = mu._num, nu._num, scale // mu._den, scale // nu._den
+    mu_total, nu_total = sum(mu_num.values()), sum(nu_num.values())
+    if mu_total * fm != nu_total * fn:
+        mu_mass, nu_mass = Fraction(mu_total, mu._den), Fraction(nu_total, nu._den)
+        raise InternalInconsistency(f"measures of unequal mass {mu_mass} and {nu_mass}")
     # finite distances form one component, so one row of checks covers all pairs
-    union = sorted(mu_int.keys() | nu_int.keys())
+    union = sorted(mu_num.keys() | nu_num.keys())
     for z in union[1:]:
         if math.isinf(metric(union[0], z)):
             raise InfiniteDistance(f"no path between support vertices {union[0]} and {z}")
-    supply = {v: q - nu_int.get(v, 0) for v, q in mu_int.items() if q > nu_int.get(v, 0)}
-    demand = {v: q - mu_int.get(v, 0) for v, q in nu_int.items() if q > mu_int.get(v, 0)}
-    cost = _cost_matrix(metric, supply, demand)
-    return mu_int, nu_int, supply, demand, cost, scale
+    supply = {v: r for v, q in mu_num.items() if (r := q * fm - nu_num.get(v, 0) * fn) > 0}
+    demand = {v: r for v, q in nu_num.items() if (r := q * fn - mu_num.get(v, 0) * fm) > 0}
+    return supply, demand, _cost_matrix(metric, supply, demand), scale
 
 
 def _matrix_minimum(cost, levels, supply, demand):
@@ -310,7 +302,7 @@ def _solve_transportation(cost, supply, demand):
     if len(levels) == 1:
         # every unit costs the same on every cell, so any feasible plan is optimal
         (low,) = levels
-        return low * sum(supply), flow, [0] * m, [low] * n
+        return _certify(cost, supply, demand, flow, [0] * m, [low] * n)
     adj, pot, parent, depth = _basis_tree(flow, cost, m, n)
     while True:
         # basis cells have reduced cost exactly 0, so only a nonbasic cell can enter
@@ -349,8 +341,101 @@ def _solve_transportation(cost, supply, demand):
         pot[top] = cost[ei][ej] - pot[attach]
         _hang(top, adj, cost, m, pot, parent, depth)
 
-    total = sum(flow[(i, j)] * cost[i][j] for i, j in flow)
-    return total, flow, pot[:m], pot[m:]
+    return _certify(cost, supply, demand, flow, pot[:m], pot[m:])
+
+
+def _certify(cost, supply, demand, flow, u, v):
+    """(cost, flow, u, v) once an integer duality check passes; InternalInconsistency if not.
+
+    The flow must be nonnegative, with row sums supply and column sums demand, and cost
+    sum u_i a_i + sum v_j b_j, which with u_i + v_j <= c_ij proves it least.
+    """
+    rows, cols, total = [0] * len(supply), [0] * len(demand), 0
+    for (i, j), q in flow.items():
+        rows[i] += q
+        cols[j] += q
+        total += q * cost[i][j]
+    dual = sum(map(mul, u, supply)) + sum(map(mul, v, demand))
+    if min(flow.values()) < 0 or rows != supply or cols != demand or total != dual:
+        raise InternalInconsistency(f"a simplex flow of cost {total} fails its duality check")
+    return total, flow, u, v
+
+
+def _least_cost(cost, supply, demand) -> int:
+    """The least cost of moving supply to demand, routed by the number of distinct costs.
+
+    One level c costs c * M for the mass M.  With two, lo < hi, mass f on
+    lo cells costs hi * M - (hi - lo) * f, as all other cells cost hi, so
+    f is a maximum flow over the lo cells.  More levels go to the simplex.
+    """
+    levels = sorted(set().union(*cost))
+    if len(levels) > 2:
+        return _solve_transportation(cost, supply, demand)[0]
+    if len(levels) < 2:
+        return max(levels, default=0) * sum(supply)
+    lo, hi = levels
+    return hi * sum(supply) - (hi - lo) * _max_flow(cost, lo, supply, demand)
+
+
+def _max_flow(cost, lo, supply, demand) -> int:
+    """Most mass rows can send to columns over the cells of cost lo, certified by a cut.
+
+    A greedy fill, rows with the fewest such cells first, then augmenting
+    paths from ``_reach``.  The last search reaches rows R and columns C,
+    none with room, so no flow exceeds sum_{i not in R} a_i + sum_{j in C} b_j.
+    """
+    a, b = list(supply), list(demand)
+    cols = [[j for j, c in enumerate(row) if c == lo] for row in cost]
+    into = [{} for _ in b]  # into[j][i] is the flow on cell (i, j)
+    for i in sorted(range(len(a)), key=lambda i: len(cols[i])):
+        for j in cols[i]:
+            if b[j]:
+                q = into[j][i] = min(a[i], b[j])
+                a[i] -= q
+                b[j] -= q
+                if not a[i]:
+                    break
+    while (search := _reach(cols, into, a, b))[2]:
+        path = search[2]  # cells at even positions gain flow, at odd positions give it up
+        start, end = path[-1][0], path[0][1]
+        theta = min(a[start], b[end], *(into[j][i] for i, j in path[1::2]))
+        a[start], b[end] = a[start] - theta, b[end] - theta
+        for k, (i, j) in enumerate(path):
+            into[j][i] = into[j].get(i, 0) + (-theta if k % 2 else theta)
+    row_from, col_from, _ = search
+    moved = sum(supply) - sum(a)
+    cut = sum(q for i, q in enumerate(supply) if i not in row_from)
+    cut += sum(demand[j] for j in col_from)
+    if moved != cut:
+        raise InternalInconsistency(f"a flow of {moved} over the cheapest cells has a cut of {cut}")
+    return moved
+
+
+def _reach(cols, into, a, b):
+    """Breadth-first search from rows with supply left, along cells in cols and back along flow.
+
+    Returns the rows and columns reached, and the path of cells from the
+    first column with room back to a start, or None.
+    """
+    row_from = {i: None for i, q in enumerate(a) if q}  # the column each row came from
+    col_from = {}  # the row each column came from
+    queue = list(row_from)
+    for i in queue:
+        for j in cols[i]:
+            if j in col_from:
+                continue
+            col_from[j] = i
+            if b[j]:
+                path = [(i, j)]
+                while (j := row_from[i]) is not None:
+                    path += [(i, j), (col_from[j], j)]
+                    i = col_from[j]
+                return row_from, col_from, path
+            for k, q in into[j].items():
+                if q and k not in row_from:
+                    row_from[k] = j
+                    queue.append(k)
+    return row_from, col_from, None
 
 
 def wasserstein(metric: Metric, mu, nu) -> Tuple[Fraction, TransportPlan]:
@@ -365,21 +450,24 @@ def wasserstein(metric: Metric, mu, nu) -> Tuple[Fraction, TransportPlan]:
     vertices are not checked against any graph; its finite distances must
     be integers (TypeError otherwise).
 
+    The cost takes one of three routes by the number of distinct leftover
+    costs: c * M for one, a maximum flow certified by a cut for two, and
+    the simplex certified by integer duality for more (InternalInconsistency
+    if a certificate fails).  The simplex solves the plan when it is read.
+
     The pair is kept on mu, keyed by (metric, nu), for mu's lifetime: a
     repeat call returns it unsolved, and a call that raises keeps nothing.
     The metric compares as an object (``g.distance`` by g's identity) and
-    nu by value, so the metric must be hashable and a fixed function.  The
-    plan is solved again when it is first read.  On a G[t]'s cached
-    measures the ``gt.distance`` keys form a reference cycle through gt,
-    which Python's cyclic garbage collector frees.
+    nu by value, so the metric must be hashable and a fixed function.  On
+    a G[t]'s cached measures the ``gt.distance`` keys form a reference
+    cycle through gt, which Python's cyclic garbage collector frees.
     """
     _check_measures(mu, nu)
     key = (metric, nu)
     solved = mu._solved.get(key)
     if solved is None:
-        _, _, supply, demand, cost, scale = _problem(metric, mu, nu)
-        total, _, _, _ = _solve_transportation(cost, [*supply.values()], [*demand.values()])
-        total = Fraction(total, scale)
+        supply, demand, cost, scale = _leftover(metric, mu, nu)
+        total = Fraction(_least_cost(cost, [*supply.values()], [*demand.values()]), scale)
         plan = TransportPlan(entries=_PlanEntries(metric, mu, nu), cost=total)
         solved = mu._solved[key] = total, plan
     return solved
@@ -421,10 +509,10 @@ def dual_certificate(metric: Metric, mu, nu, primal_cost: Fraction) -> DualCerti
     Each call solves again: nothing is kept.
     """
     _check_measures(mu, nu)
-    mu_int, nu_int, supply, demand, cost, scale = _problem(metric, mu, nu)
+    supply, demand, cost, scale = _leftover(metric, mu, nu)
     _, _, _, v = _solve_transportation(cost, [*supply.values()], [*demand.values()])
 
-    union = sorted(mu_int.keys() | nu_int.keys())
+    union = sorted(mu._num.keys() | nu._num.keys())
     if demand:
         potential = {
             z: min(d - v_t for d, v_t in zip(row, v))
@@ -440,9 +528,10 @@ def dual_certificate(metric: Metric, mu, nu, primal_cost: Fraction) -> DualCerti
                 raise CertificateGapNonzero(
                     f"potential violates the Lipschitz bound on ({a}, {b})"
                 )
+    # the shared mass adds f(v) * min(mu(v), nu(v)) to both sums, so the leftover gives the gap
     value = Fraction(
-        sum(potential[s] * q for s, q in mu_int.items())
-        - sum(potential[t] * q for t, q in nu_int.items()),
+        sum(potential[s] * q for s, q in supply.items())
+        - sum(potential[t] * q for t, q in demand.items()),
         scale,
     )
     if value != primal_cost:

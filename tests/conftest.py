@@ -1,5 +1,6 @@
-"""Shared graph builders and the randomized test corpus."""
+"""Shared graph builders, the randomized test corpus and simplex fault injection."""
 
+import inspect
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -7,7 +8,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from ricci_spectrum import build_graph, lazy_graph
+from ricci_spectrum import build_graph, lazy_graph, transport
 
 CORPUS_SEED = 174
 
@@ -184,3 +185,35 @@ def enumerate_transport_optimum(metric, mu, nu):
         if best is None or value < best:
             best = value
     return best
+
+
+#: One pivot bug each, as (statement in the simplex or ``_hang``, its faulty form).
+SIMPLEX_FAULTS = {
+    "theta off by one": (
+        "theta = min(flow[c] for c in losers)",
+        "theta = min(flow[c] for c in losers) + 1",
+    ),
+    "wrong leaving cell": (
+        "leaving = min(c for c in losers if flow[c] == theta)",
+        "leaving = max(losers, key=flow.get)",
+    ),
+    "stale _hang potentials": ("- pot[a]", "- pot[a] if top == 0 else pot[b]"),
+    "skipped flow update": ("flow[c] += theta", "pass"),
+}
+
+
+def faulty_simplex(fault):
+    """``transport._solve_transportation`` rebuilt with one of SIMPLEX_FAULTS.
+
+    The simplex, ``_basis_tree`` and ``_hang`` are compiled again from their
+    source, with the fault's statement replaced, in a copy of the module's
+    namespace; the module itself is not changed.  The stale-potential fault
+    keeps the old potentials below the node a pivot re-hangs from.
+    """
+    old, new = SIMPLEX_FAULTS[fault]
+    functions = (transport._hang, transport._basis_tree, transport._solve_transportation)
+    source = "\n\n".join(inspect.getsource(f) for f in functions)
+    assert source.count(old) == 1, fault
+    namespace = dict(vars(transport))
+    exec(compile(source.replace(old, new), f"<simplex: {fault}>", "exec"), namespace)
+    return namespace["_solve_transportation"]

@@ -4,12 +4,13 @@ import json
 import os
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ricci_spectrum import cli, neighborhood_graph, walk
+from ricci_spectrum import cli, neighborhood_graph, transport, walk
 from ricci_spectrum.bounds import MetricAudit
 from ricci_spectrum.cli import (
     EXIT_CONFIG,
@@ -25,7 +26,7 @@ from ricci_spectrum.cli import (
 from ricci_spectrum.errors import NonPositiveWeight, ParseError
 from ricci_spectrum.tolerances import TRANSFER_IDENTITY_TOL
 
-from conftest import cycle_graph
+from conftest import cycle_graph, faulty_simplex
 
 C5_TEXT = "a b\nb c\nc d\nd e\ne a\n"
 
@@ -237,6 +238,18 @@ def test_walk_graph_inconsistency_exits_internal(tmp_path, capsys, monkeypatch):
     assert "reachability" in capsys.readouterr().err
 
 
+def test_a_faulty_simplex_exits_internal(capsys, monkeypatch):
+    # random_0's curvature solves reach the simplex; with a pivot that skips
+    # its flow update, the duality check stops a wrong kappa from printing
+    monkeypatch.setattr(transport, "_solve_transportation", faulty_simplex("skipped flow update"))
+    path = Path(__file__).resolve().parent / "goldens" / "random_0.edges"
+    assert main(["curvature", str(path)]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "fails its duality check" in captured.err
+
+
 @pytest.mark.parametrize("weight", ["1e400", "1e-400"])
 def test_weights_outside_float_range_exit_graph(tmp_path, capsys, weight):
     # 1e400 overflows a float64; at 1e-400 the degrees underflow to 0.0
@@ -285,6 +298,23 @@ def edge_list_lines(draw):
 
 
 CASE_1 = ["a b 1e5000", "b c 1", "a c 1"]  # kappa's exact digits pass the 4300-digit limit
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["curvature"], ["curvature", "--format", "json"], ["neighborhood"]],
+    ids=["curvature-table", "curvature-json", "neighborhood"],
+)
+def test_an_exact_value_past_the_digit_limit_exits_graph(tmp_path, capsys, argv):
+    # the error names --float, not CPython's sys.set_int_max_str_digits()
+    path = _write(tmp_path, "digits.edges", "\n".join(CASE_1) + "\n")
+    assert main([argv[0], path, *argv[1:]]) == EXIT_GRAPH
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: an exact value has too many digits to print; "
+        "--float prints it as a float, except in an edge list\n"
+    )
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)

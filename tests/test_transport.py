@@ -24,14 +24,19 @@ from ricci_spectrum.errors import CertificateGapNonzero, InfiniteDistance, Inter
 from ricci_spectrum.transport import (
     _basis_cycle,
     _basis_tree,
+    _leftover,
     _matrix_minimum,
+    _max_flow,
+    _reach,
     _solve_transportation,
 )
 
 from conftest import (
+    SIMPLEX_FAULTS,
     complete_graph,
     cycle_graph,
     enumerate_transport_optimum,
+    faulty_simplex,
     full_corpus,
     random_corpus,
     random_measure,
@@ -163,9 +168,10 @@ def test_plan_entries_read_as_reduced_fractions():
 
 
 def _count_solves(monkeypatch):
+    # every solve, by whichever route, and every plan read starts with _leftover
     solves = []
-    counted = lambda *args: solves.append(args) or _solve_transportation(*args)
-    monkeypatch.setattr(transport, "_solve_transportation", counted)
+    counted = lambda *args: solves.append(args) or _leftover(*args)
+    monkeypatch.setattr(transport, "_leftover", counted)
     return solves
 
 
@@ -560,11 +566,14 @@ def test_equal_costs_exit_with_the_rebuilt_tree_duals_property(problem):
 
 
 def test_pivot_count_over_the_golden_corpus(monkeypatch):
-    # pivots are deterministic, unlike time, so this count guards the
-    # start's gain: every adjacent pair of each golden graph's G[1..3]
-    pivots, solves = [], 0
+    # pivots and routes are deterministic, unlike time, so these counts guard
+    # the start's and the routes' gains: every adjacent pair of each golden
+    # graph's G[1..3], and the solves with three or more cost levels
+    pivots, simplex, solves = [], [], 0
     counted = lambda *args: pivots.append(args) or _basis_cycle(*args)
     monkeypatch.setattr(transport, "_basis_cycle", counted)
+    routed = lambda *args: simplex.append(args) or _solve_transportation(*args)
+    monkeypatch.setattr(transport, "_solve_transportation", routed)
     for text in golden_inputs().values():
         g, _ = parse_edge_list(text)
         for t in (1, 2, 3):
@@ -573,7 +582,76 @@ def test_pivot_count_over_the_golden_corpus(monkeypatch):
                 if x != y:
                     ricci_curvature(gt, x, y)
                     solves += 1
-    assert (solves, len(pivots)) == (936, 1112)
+    assert (solves, len(pivots), len(simplex)) == (936, 73, 85)
+
+
+@pytest.mark.parametrize("fault", SIMPLEX_FAULTS)
+def test_a_faulty_pivot_fails_the_duality_check(fault):
+    # without the check, the four faults return 9, 9, 10 (with duals that
+    # do not certify it) and 6, and the first leaves a flow of -1
+    cost, supply, demand = [[2, 1], [1, 2], [4, 2]], [3, 1, 2], [3, 3]
+    assert _solve_transportation(cost, supply, demand)[0] == 10
+    with pytest.raises(InternalInconsistency, match="fails its duality check"):
+        faulty_simplex(fault)(cost, supply, demand)
+
+
+@st.composite
+def leveled_transportation_problems(draw):
+    """An integer_transportation_problems instance whose costs take 1, 2 or 3 values.
+
+    Three drawn values may leave a matrix with two levels or one; the
+    plain problems, with costs 0..9, mostly have three or more.
+    """
+    cost, supply, demand = draw(integer_transportation_problems())
+    k = draw(st.sampled_from([1, 2, 3]))
+    values = draw(st.lists(st.integers(0, 9), min_size=k, max_size=k, unique=True))
+    cost = [[draw(st.sampled_from(values)) for _ in row] for row in cost]
+    return cost, supply, demand
+
+
+SINK = 100  # sinks are vertices SINK + j, so no vertex holds both supply and demand
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.one_of(leveled_transportation_problems(), integer_transportation_problems()))
+def test_every_route_agrees_with_the_simplex_and_networkx_property(problem):
+    cost, supply, demand = problem
+    metric = lambda u, v: cost[u][v - SINK] if u < SINK <= v else 0
+    total = sum(supply)
+    mu = ProbMeasure({i: Fraction(q, total) for i, q in enumerate(supply)})
+    nu = ProbMeasure({SINK + j: Fraction(q, total) for j, q in enumerate(demand)})
+    w1, _ = wasserstein(metric, mu, nu)
+    assert w1 == Fraction(_solve_transportation(cost, supply, demand)[0], total)
+    assert w1 == _network_simplex_cost(metric, dict(mu.items()), dict(nu.items()))
+
+
+# rows 0 and 1 fill columns 0 and 1, so row 2's cheap cells are full; the
+# path row 2 -> column 0 -> row 0 -> column 1 -> row 1 -> column 2 moves it
+SHORT_GREEDY = [[1, 1, 2], [2, 1, 1], [1, 1, 2]], [1, 1, 1], [1, 1, 1]
+
+
+def test_a_greedy_fill_short_of_the_maximum_is_augmented(monkeypatch):
+    cost, supply, demand = SHORT_GREEDY
+    searches = []
+    counted = lambda *args: searches.append(args) or _reach(*args)
+    monkeypatch.setattr(transport, "_reach", counted)
+    assert _max_flow(cost, 1, supply, demand) == 3
+    assert len(searches) == 2
+    # so every unit moves at cost 1
+    third = Fraction(1, 3)
+    mu = ProbMeasure(dict.fromkeys(range(3), third))
+    nu = ProbMeasure(dict.fromkeys(range(SINK, SINK + 3), third))
+    metric = lambda u, v: cost[u][v - SINK] if u < SINK <= v else 0
+    assert wasserstein(metric, mu, nu)[0] == 1
+
+
+def test_a_flow_short_of_its_cut_raises(monkeypatch):
+    # a search that drops the augmenting path it found leaves the greedy
+    # fill, 2, against the cut of the rows and columns it reached, 3
+    cost, supply, demand = SHORT_GREEDY
+    monkeypatch.setattr(transport, "_reach", lambda *args: (*_reach(*args)[:2], None))
+    with pytest.raises(InternalInconsistency, match="flow of 2 .* has a cut of 3"):
+        _max_flow(cost, 1, supply, demand)
 
 
 @st.composite
