@@ -92,8 +92,9 @@ class _PlanEntries(Mapping):
             supply, demand, cost, scale = _leftover(self._metric, self._mu, self._nu)
             _, flow, _, _ = _solve_transportation(cost, [*supply.values()], [*demand.values()])
             sources, sinks = list(supply), list(demand)
-            (mu, fm), (nu, fn) = ((m._num, scale // m._den) for m in (self._mu, self._nu))
-            cells = {(v, v): min(q * fm, nu[v] * fn) for v, q in mu.items() if v in nu}
+            mu_num, fm = self._mu._num, scale // self._mu._den
+            nu_num, fn = self._nu._num, scale // self._nu._den
+            cells = {(v, v): min(q * fm, nu_num[v] * fn) for v, q in mu_num.items() if v in nu_num}
             cells.update(((sources[i], sinks[j]), q) for (i, j), q in flow.items() if q > 0)
             self._read = dict(sorted(cells.items())), scale
             return self._read
@@ -285,24 +286,16 @@ def _solve_transportation(cost, supply, demand):
     u_i + v_j <= c_ij with equality on that basis.  When nothing is left to
     move (mu == nu) the cost is 0, with no flow.
 
-    The start is the matrix minimum (see ``_matrix_minimum``).  When every
-    cell costs the same c, every feasible plan costs c per unit, so the
-    start is returned with the duals u = 0, v = c, which are the ones its
-    basis tree gives under u_0 = 0, and no pivot is made.
-
-    Otherwise the basis tree is built once.  A pivot cuts the tree at the
-    leaving cell and joins it again at the entering one, so only the
-    cut-off subtree is walked again, from the entering cell's end inside it.
+    The start is the matrix minimum (see ``_matrix_minimum``), and its
+    basis tree is built once.  A pivot cuts the tree at the leaving cell
+    and joins it again at the entering one, so only the cut-off subtree is
+    walked again, from the entering cell's end inside it.
     """
     m, n = len(supply), len(demand)
     if m == 0:
         return 0, {}, [], []
     levels = sorted(set().union(*cost))
     flow = _matrix_minimum(cost, levels, supply, demand)
-    if len(levels) == 1:
-        # every unit costs the same on every cell, so any feasible plan is optimal
-        (low,) = levels
-        return _certify(cost, supply, demand, flow, [0] * m, [low] * n)
     adj, pot, parent, depth = _basis_tree(flow, cost, m, n)
     while True:
         # basis cells have reduced cost exactly 0, so only a nonbasic cell can enter

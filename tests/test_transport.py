@@ -468,7 +468,7 @@ def test_updated_basis_tree_matches_a_rebuilt_one_property(problem):
 def tied_transportation_problems(draw):
     """An integer_transportation_problems instance whose costs are all c or all in {1, 2}.
 
-    Equal costs take the equal-cost exit, and costs from {1, 2} tie the
+    Equal costs make no pivot, and costs from {1, 2} tie the
     matrix-minimum start's cell order often.
     """
     cost, supply, demand = draw(integer_transportation_problems())
