@@ -36,7 +36,8 @@ print("\n1-Lipschitz potential:", dict(cert.potential))
 gap = sum(cert.potential[v] * m for v, m in mu.items()) - sum(
     cert.potential[v] * m for v, m in nu.items()
 )
-print("dual value:", gap, "(equals the primal cost)")
+print("dual value:", gap)
+print("equals the primal cost:", gap == cost)
 
 # Curvature is one minus the transport cost per unit distance.
 value = ricci_curvature(pentagon, 0, 1)

@@ -12,9 +12,11 @@ audit --t-max, report.  Output is a human table or canonical JSON
 significant digits) that is byte-identical across runs.
 
 Exit codes: 0 ok; 2 an option or parse error, or a file that is unreadable
-or not UTF-8; 3 an invalid graph, or an exact value past the 4300-digit
-limit on printing an int (--float avoids it, but not in neighborhood's
-edge list); 4 an internal consistency failure, such as a failed audit.
+or not UTF-8; 3 any other package error: an invalid graph, or an exact
+value past the 4300-digit limit on printing an int (--float avoids it, but
+not in neighborhood's edge list); 4 an internal consistency failure, such
+as a failed audit, or any exception that is not the package's own, which
+is a bug.
 """
 
 from __future__ import annotations
@@ -343,9 +345,12 @@ def main(argv=None) -> int:
     except InternalInconsistency as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (RicciSpectrumError, ValueError) as exc:
+    except RicciSpectrumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GRAPH
+    except Exception as exc:  # not a package error, so a bug rather than a bad input
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     sys.stdout.write(text)
     return EXIT_OK
 

@@ -11,34 +11,33 @@ routed by the number of distinct costs between what is left to move:
 - two, lo < hi, as on the walk graphs G[t], where the leftover sits next
   to an edge's ends: hi * M - (hi - lo) * F, for F the maximum flow over
   the lo cells, certified by a cut of the same size;
-- more: a transportation simplex with a matrix-minimum start, one cost
-  level at a time, and Bland's smallest-index pivoting, which rules out
-  cycling.  Its basis tree, rooted at row 0, carries the potentials and
-  the parent links along which the entering cell's cycle is found; after
-  each pivot only the subtree that the leaving cell cuts off is re-hung
-  (Ahuja, Magnanti and Orlin, *Network Flows*, ch. 11).  Every solve ends
-  with an integer check of feasibility and strong duality.
+- more: the primal-dual method (Ford and Fulkerson, *Naval Res. Logist.
+  Q.* 4, 1957), phases of the same augmenting paths between dual steps,
+  checked on integers for feasibility, dual feasibility and strong duality.
+Plans and dual certificates always come from the primal-dual solve: an
+optimal plan and potential, though not always the only ones.
 
 Mass that both measures put on one vertex, min(mu(v), nu(v)), stays there
 at no cost, since d(v, v) = 0 and d obeys the triangle inequality.  It is
 cancelled before the solve, which then moves only the rest between two
 disjoint supports, and it comes back as (v, v) entries of the plan.
 
-The simplex runs on Python integers only.  Both measures are ProbMeasures,
+The solve runs on Python integers only.  Both measures are ProbMeasures,
 which store their masses as integer numerators over one denominator, and
 both are scaled to the LCM of the two denominators, which is the LCM of
 all their mass denominators, so supply and demand are integers; the
 metric's distances must be integers, so the potentials are too.  Scaling
-every mass by one positive constant changes no pivot choice, so the plan
-and the duals are those of the rational problem.  The cost and the dual
-gap are divided by the scale once at the end.
+every mass by one positive constant changes no search and no step, which
+compare masses only with each other and with 0, so the plan and the duals
+are those of the rational problem.  The cost and the dual gap are divided
+by the scale once at the end.
 
 Each W_1 is solved once per measure object: wasserstein keeps (W_1, plan)
 on mu, keyed by (metric, nu), for mu's lifetime, so the metric must be a
 fixed function of its two vertices.  A report asks for one edge's
 curvature from many sections, and the repeats cost a dict lookup.  The
-plan holds the solve's inputs only: the simplex solves it on its first
-read, which the curvature layer never makes, and each entry becomes a
+plan holds the solve's inputs only: it is solved on its first read,
+which the curvature layer never makes, and each entry becomes a
 Fraction only when it is read.  A G[t]'s cached measures keep keys that
 hold ``gt.distance``, and so gt itself: the cycle is freed by Python's
 cyclic garbage collector, not by reference counting.
@@ -57,7 +56,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index, mul
+from operator import index, mul, sub
 from typing import Callable, Dict, Tuple, Union
 
 from .errors import CertificateGapNonzero, InfiniteDistance, InternalInconsistency
@@ -174,174 +173,55 @@ def _leftover(metric: Metric, mu, nu):
     return supply, demand, _cost_matrix(metric, supply, demand), scale
 
 
-def _matrix_minimum(cost, levels, supply, demand):
-    """Initial basic feasible solution: a flow on exactly m + n - 1 basis cells.
-
-    ``levels`` holds the distinct costs in increasing order.  Cells are
-    visited one level at a time, and within a level row-major over the
-    lines still open.  Each cell of the level gets min(a_i, b_j) and
-    crosses out one of its lines: its row if that is exhausted and not the
-    last open row, else its column.  So on a tie a degenerate cell follows
-    in the column.  Every cell crosses out a line that no later cell meets,
-    so no cell closes a cycle, and the m + n - 1 cells span a tree.  With a
-    single level this is the northwest-corner walk, m + n - 1 cells long.
-    """
-    m, n = len(supply), len(demand)
-    a, b = list(supply), list(demand)
-    rows, cols = list(range(m)), list(range(n))
-    rows_left = m
-    flow = {}
-    for level in levels:
-        kept = []
-        for i in rows:
-            row = cost[i]
-            k = 0
-            while k < len(cols):
-                j = cols[k]
-                if row[j] != level:
-                    k += 1
-                    continue
-                q = min(a[i], b[j])
-                flow[(i, j)] = q
-                if len(flow) == m + n - 1:
-                    return flow
-                a[i] -= q
-                b[j] -= q
-                if a[i] == 0 and rows_left > 1:
-                    rows_left -= 1
-                    break
-                del cols[k]
-            else:
-                kept.append(i)
-        rows = kept
-
-
-def _basis_tree(basis, cost, m, n):
-    """The basis tree rooted at row 0.
-
-    Nodes are rows 0..m-1 and columns m..m+n-1.  Returns the adjacency
-    lists, the potentials pot (u_i = pot[i], v_j = pot[m + j]) solving
-    u_i + v_j = c_ij on the basis with u_0 = 0, and each node's parent
-    (None at the root) and depth in the tree.
-    """
-    adj = [[] for _ in range(m + n)]
-    for i, j in basis:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
-    pot = [0] * (m + n)
-    parent = [None] * (m + n)
-    depth = [0] * (m + n)
-    _hang(0, adj, cost, m, pot, parent, depth)
-    return adj, pot, parent, depth
-
-
-def _hang(top, adj, cost, m, pot, parent, depth):
-    """One DFS of the subtree below node top, whose own links are already set.
-
-    Every node under top gets its parent, its depth and the potential that
-    makes its cell to the parent tight.
-    """
-    stack = [top]
-    while stack:
-        a = stack.pop()
-        for b in adj[a]:
-            if b != parent[a]:
-                pot[b] = (cost[a][b - m] if a < m else cost[b][a - m]) - pot[a]
-                parent[b] = a
-                depth[b] = depth[a] + 1
-                stack.append(b)
-
-
-def _basis_cycle(entering, parent, depth, m):
-    """Alternating cycle the entering cell closes in the basis tree.
-
-    Climbs parent links from row ei and column ej until they meet.  Returns
-    the cycle as a cell list starting at the entering cell and then running
-    from column ej to row ei, and the index where column ej's side ends:
-    cells 1..split-1 lie on the tree path from column ej up to the meeting
-    node.  Cells at odd positions lose flow when the entering cell gains.
-    """
-    ei, ej = entering
-
-    def cell(a, b):
-        return (a, b - m) if a < m else (b, a - m)
-
-    a, b = ei, m + ej
-    from_row, from_col = [], []
-    while a != b:
-        if depth[a] >= depth[b]:
-            from_row.append(cell(a, parent[a]))
-            a = parent[a]
-        else:
-            from_col.append(cell(b, parent[b]))
-            b = parent[b]
-    return [entering] + from_col + from_row[::-1], 1 + len(from_col)
-
-
 def _solve_transportation(cost, supply, demand):
-    """Minimize sum c_ij x_ij with given integer row/column sums.
+    """Minimize sum c_ij x_ij with given integer row/column sums, by the primal-dual method.
 
-    Returns (total_cost, flow dict, u, v), all integers, where the flow's
-    cells are the final basis and (u, v) are optimal duals satisfying
-    u_i + v_j <= c_ij with equality on that basis.  When nothing is left to
-    move (mu == nu) the cost is 0, with no flow.
+    Returns (total_cost, flow dict, u, v), all integers, where (u, v) are
+    optimal duals: u_i + v_j <= c_ij, with equality on every cell of the
+    flow.  When nothing is left to move (mu == nu) the cost is 0, with no
+    flow.
 
-    The start is the matrix minimum (see ``_matrix_minimum``), and its
-    basis tree is built once.  A pivot cuts the tree at the leaving cell
-    and joins it again at the entering one, so only the cut-off subtree is
-    walked again, from the entering cell's end inside it.
+    The duals start at u = 0 and v_j the least cost in column j.  Each
+    phase augments the flow, kept from the phases before, to a maximum
+    over the tight cells, where c_ij = u_i + v_j.  If mass is left, the
+    last search reached rows R and columns C, none with room; u rises on R
+    and v falls on C by the least slack from R to the other columns.
+    Every flow cell that meets R or C lies in R x C, where u_i + v_j does
+    not change, so flow cells stay tight, and the cell of least slack
+    becomes tight.  A row that still holds supply has held it in every
+    phase, and so has been in every R, while a column with room has been
+    in no C.  So u on that row rose by at least 1 per step, yet never
+    passes c_ij - v_j for that column, whose v_j is still its least cost:
+    there are at most max c - min c steps.  A step that is not positive is
+    a bug.
     """
-    m, n = len(supply), len(demand)
-    if m == 0:
-        return 0, {}, [], []
-    levels = sorted(set().union(*cost))
-    flow = _matrix_minimum(cost, levels, supply, demand)
-    adj, pot, parent, depth = _basis_tree(flow, cost, m, n)
+    a, b = list(supply), list(demand)
+    u, v = [0] * len(a), [min(col) for col in zip(*cost)]
+    into = [{} for _ in b]  # into[j][i] is the flow on cell (i, j)
     while True:
-        # basis cells have reduced cost exactly 0, so only a nonbasic cell can enter
-        entering = next(
-            (
-                (i, j)
-                for i, row in enumerate(cost)
-                for j, c in enumerate(row)
-                if c - pot[i] < pot[m + j]
-            ),
-            None,
-        )
-        if entering is None:
+        cols = [[j for j, r in enumerate(map(sub, row, v)) if r == u_i] for row, u_i in zip(cost, u)]
+        rows, columns = _max_flow(cols, into, a, b)
+        if not rows:
             break
-        cycle, split = _basis_cycle(entering, parent, depth, m)
-        losers = cycle[1::2]
-        theta = min(flow[c] for c in losers)
-        leaving = min(c for c in losers if flow[c] == theta)
-        flow[entering] = theta
-        for c in losers:
-            flow[c] -= theta
-        for c in cycle[2::2]:
-            flow[c] += theta
-        del flow[leaving]
-
-        li, lj = leaving
-        ei, ej = entering
-        adj[li].remove(m + lj)
-        adj[m + lj].remove(li)
-        adj[ei].append(m + ej)
-        adj[m + ej].append(ei)
-        # the cut-off subtree holds the entering cell's end on the leaving cell's side
-        top, attach = (m + ej, ei) if cycle.index(leaving) < split else (ei, m + ej)
-        parent[top] = attach
-        depth[top] = depth[attach] + 1
-        pot[top] = cost[ei][ej] - pot[attach]
-        _hang(top, adj, cost, m, pot, parent, depth)
-
-    return _certify(cost, supply, demand, flow, pot[:m], pot[m:])
+        out = [j for j in range(len(b)) if j not in columns]
+        delta = min([cost[i][j] - u[i] - v[j] for i in rows for j in out], default=0)
+        if delta <= 0:
+            raise InternalInconsistency(f"a dual step of {delta} with mass left to move")
+        for i in rows:
+            u[i] += delta
+        for j in columns:
+            v[j] -= delta
+    flow = {(i, j): q for j, col in enumerate(into) for i, q in col.items() if q}
+    return _certify(cost, supply, demand, flow, u, v)
 
 
 def _certify(cost, supply, demand, flow, u, v):
     """(cost, flow, u, v) once an integer duality check passes; InternalInconsistency if not.
 
-    The flow must be nonnegative, with row sums supply and column sums demand, and cost
-    sum u_i a_i + sum v_j b_j, which with u_i + v_j <= c_ij proves it least.
+    The flow must be nonnegative, with row sums supply and column sums
+    demand; the duals must satisfy u_i + v_j <= c_ij on every cell; and the
+    cost must equal sum u_i a_i + sum v_j b_j.  Weak duality then proves
+    both optimal, whatever plan or potential the solve found.
     """
     rows, cols, total = [0] * len(supply), [0] * len(demand), 0
     for (i, j), q in flow.items():
@@ -349,8 +229,9 @@ def _certify(cost, supply, demand, flow, u, v):
         cols[j] += q
         total += q * cost[i][j]
     dual = sum(map(mul, u, supply)) + sum(map(mul, v, demand))
-    if min(flow.values()) < 0 or rows != supply or cols != demand or total != dual:
-        raise InternalInconsistency(f"a simplex flow of cost {total} fails its duality check")
+    feasible = min(flow.values(), default=0) >= 0 and (rows, cols) == (supply, demand)
+    if not feasible or total != dual or any(min(map(sub, r, v)) < u_i for r, u_i in zip(cost, u)):
+        raise InternalInconsistency(f"a transport flow of cost {total} fails its duality check")
     return total, flow, u, v
 
 
@@ -359,7 +240,10 @@ def _least_cost(cost, supply, demand) -> int:
 
     One level c costs c * M for the mass M.  With two, lo < hi, mass f on
     lo cells costs hi * M - (hi - lo) * f, as all other cells cost hi, so
-    f is a maximum flow over the lo cells.  More levels go to the simplex.
+    f is a maximum flow over the lo cells.  Its last search reaches rows R
+    and columns C, none with room, so no flow exceeds the cut
+    sum_{i not in R} a_i + sum_{j in C} b_j, and the two must agree.  More
+    levels go to the primal-dual solve.
     """
     levels = sorted(set().union(*cost))
     if len(levels) > 2:
@@ -367,23 +251,31 @@ def _least_cost(cost, supply, demand) -> int:
     if len(levels) < 2:
         return max(levels, default=0) * sum(supply)
     lo, hi = levels
-    return hi * sum(supply) - (hi - lo) * _max_flow(cost, lo, supply, demand)
-
-
-def _max_flow(cost, lo, supply, demand) -> int:
-    """Most mass rows can send to columns over the cells of cost lo, certified by a cut.
-
-    A greedy fill, rows with the fewest such cells first, then augmenting
-    paths from ``_reach``.  The last search reaches rows R and columns C,
-    none with room, so no flow exceeds sum_{i not in R} a_i + sum_{j in C} b_j.
-    """
     a, b = list(supply), list(demand)
     cols = [[j for j, c in enumerate(row) if c == lo] for row in cost]
-    into = [{} for _ in b]  # into[j][i] is the flow on cell (i, j)
-    for i in sorted(range(len(a)), key=lambda i: len(cols[i])):
+    rows, columns = _max_flow(cols, [{} for _ in b], a, b)
+    moved = sum(supply) - sum(a)
+    cut = sum(q for i, q in enumerate(supply) if i not in rows)
+    cut += sum(demand[j] for j in columns)
+    if moved != cut:
+        raise InternalInconsistency(f"a flow of {moved} over the cheapest cells has a cut of {cut}")
+    return hi * sum(supply) - (hi - lo) * moved
+
+
+def _max_flow(cols, into, a, b):
+    """Augment the flow into[j][i] on cells (i, j) to a maximum over the cells in cols.
+
+    a and b hold the supply and demand left, and fall as the flow grows.
+    A greedy fill, rows with the fewest cells first, then augmenting paths
+    from ``_reach``.  Returns the rows and columns the last search reached:
+    none has room, and every cell in cols from a reached row ends in a
+    reached column.
+    """
+    for i in sorted((i for i, q in enumerate(a) if q > 0), key=lambda i: len(cols[i])):
         for j in cols[i]:
-            if b[j]:
-                q = into[j][i] = min(a[i], b[j])
+            if b[j] > 0:
+                q = min(a[i], b[j])
+                into[j][i] = into[j].get(i, 0) + q
                 a[i] -= q
                 b[j] -= q
                 if not a[i]:
@@ -395,22 +287,17 @@ def _max_flow(cost, lo, supply, demand) -> int:
         a[start], b[end] = a[start] - theta, b[end] - theta
         for k, (i, j) in enumerate(path):
             into[j][i] = into[j].get(i, 0) + (-theta if k % 2 else theta)
-    row_from, col_from, _ = search
-    moved = sum(supply) - sum(a)
-    cut = sum(q for i, q in enumerate(supply) if i not in row_from)
-    cut += sum(demand[j] for j in col_from)
-    if moved != cut:
-        raise InternalInconsistency(f"a flow of {moved} over the cheapest cells has a cut of {cut}")
-    return moved
+    return search[:2]
 
 
 def _reach(cols, into, a, b):
     """Breadth-first search from rows with supply left, along cells in cols and back along flow.
 
     Returns the rows and columns reached, and the path of cells from the
-    first column with room back to a start, or None.
+    first column with room back to a start, or None.  Only positive masses
+    count, so a search ends on a mass that a bug drove negative.
     """
-    row_from = {i: None for i, q in enumerate(a) if q}  # the column each row came from
+    row_from = {i: None for i, q in enumerate(a) if q > 0}  # the column each row came from
     col_from = {}  # the row each column came from
     queue = list(row_from)
     for i in queue:
@@ -418,14 +305,14 @@ def _reach(cols, into, a, b):
             if j in col_from:
                 continue
             col_from[j] = i
-            if b[j]:
+            if b[j] > 0:
                 path = [(i, j)]
                 while (j := row_from[i]) is not None:
                     path += [(i, j), (col_from[j], j)]
                     i = col_from[j]
                 return row_from, col_from, path
             for k, q in into[j].items():
-                if q and k not in row_from:
+                if q > 0 and k not in row_from:
                     row_from[k] = j
                     queue.append(k)
     return row_from, col_from, None
@@ -445,8 +332,9 @@ def wasserstein(metric: Metric, mu, nu) -> Tuple[Fraction, TransportPlan]:
 
     The cost takes one of three routes by the number of distinct leftover
     costs: c * M for one, a maximum flow certified by a cut for two, and
-    the simplex certified by integer duality for more (InternalInconsistency
-    if a certificate fails).  The simplex solves the plan when it is read.
+    the primal-dual method certified by integer duality for more
+    (InternalInconsistency if a certificate fails).  The primal-dual method
+    also solves the plan, when it is read.
 
     The pair is kept on mu, keyed by (metric, nu), for mu's lifetime: a
     repeat call returns it unsolved, and a call that raises keeps nothing.

@@ -1,4 +1,4 @@
-"""Shared graph builders, the randomized test corpus and simplex fault injection."""
+"""Shared graph builders, the randomized test corpus and transport fault injection."""
 
 import inspect
 import random
@@ -130,7 +130,7 @@ def enumerate_transport_optimum(metric, mu, nu):
 
     Vertices are basic solutions: spanning-tree subsets of m + n - 1 cells,
     solved by peeling leaves; nonnegative ones are feasible.  Independent of
-    the simplex implementation (no pivoting at all).
+    the package's transport solve.
     """
     sources = sorted(mu)
     sinks = sorted(nu)
@@ -187,33 +187,38 @@ def enumerate_transport_optimum(metric, mu, nu):
     return best
 
 
-#: One pivot bug each, as (statement in the simplex or ``_hang``, its faulty form).
-SIMPLEX_FAULTS = {
+#: One bug each in the primal-dual solve, as (statement in ``_solve_transportation``,
+#: ``_max_flow`` or ``_reach``, its faulty form).
+SOLVER_FAULTS = {
+    "delta off by one": (
+        "delta = min([cost[i][j] - u[i] - v[j] for i in rows for j in out], default=0)",
+        "delta = min([cost[i][j] - u[i] - v[j] for i in rows for j in out], default=0) + 1",
+    ),
+    "v update skipped": ("v[j] -= delta", "pass"),
     "theta off by one": (
-        "theta = min(flow[c] for c in losers)",
-        "theta = min(flow[c] for c in losers) + 1",
+        "theta = min(a[start], b[end], *(into[j][i] for i, j in path[1::2]))",
+        "theta = min(a[start], b[end], *(into[j][i] for i, j in path[1::2])) + 1",
     ),
-    "wrong leaving cell": (
-        "leaving = min(c for c in losers if flow[c] == theta)",
-        "leaving = max(losers, key=flow.get)",
+    "skipped flow update": (
+        "into[j][i] = into[j].get(i, 0) + (-theta if k % 2 else theta)",
+        "pass",
     ),
-    "stale _hang potentials": ("- pot[a]", "- pot[a] if top == 0 else pot[b]"),
-    "skipped flow update": ("flow[c] += theta", "pass"),
 }
 
 
-def faulty_simplex(fault):
-    """``transport._solve_transportation`` rebuilt with one of SIMPLEX_FAULTS.
+def faulty_solver(fault):
+    """``transport._solve_transportation`` rebuilt with one of SOLVER_FAULTS.
 
-    The simplex, ``_basis_tree`` and ``_hang`` are compiled again from their
+    The solve, ``_max_flow`` and ``_reach`` are compiled again from their
     source, with the fault's statement replaced, in a copy of the module's
-    namespace; the module itself is not changed.  The stale-potential fault
-    keeps the old potentials below the node a pivot re-hangs from.
+    namespace; the module itself, and so its two-level route, is not
+    changed.  The first two faults break a dual step, the last two an
+    augmenting path.
     """
-    old, new = SIMPLEX_FAULTS[fault]
-    functions = (transport._hang, transport._basis_tree, transport._solve_transportation)
+    old, new = SOLVER_FAULTS[fault]
+    functions = (transport._reach, transport._max_flow, transport._solve_transportation)
     source = "\n\n".join(inspect.getsource(f) for f in functions)
     assert source.count(old) == 1, fault
     namespace = dict(vars(transport))
-    exec(compile(source.replace(old, new), f"<simplex: {fault}>", "exec"), namespace)
+    exec(compile(source.replace(old, new), f"<solver: {fault}>", "exec"), namespace)
     return namespace["_solve_transportation"]

@@ -26,7 +26,7 @@ from ricci_spectrum.cli import (
 from ricci_spectrum.errors import NonPositiveWeight, ParseError
 from ricci_spectrum.tolerances import TRANSFER_IDENTITY_TOL
 
-from conftest import cycle_graph, faulty_simplex
+from conftest import cycle_graph, faulty_solver
 
 C5_TEXT = "a b\nb c\nc d\nd e\ne a\n"
 
@@ -238,10 +238,24 @@ def test_walk_graph_inconsistency_exits_internal(tmp_path, capsys, monkeypatch):
     assert "reachability" in capsys.readouterr().err
 
 
+def test_an_exception_from_outside_the_package_exits_internal(tmp_path, capsys, monkeypatch):
+    # a ValueError is no graph error, so it is a bug, not a bad input
+    def broken(g, labels, args):
+        raise ValueError("min() arg is an empty sequence")
+
+    monkeypatch.setitem(cli.SECTIONS, "curvature", broken)
+    path = _write(tmp_path, "c5.edges", C5_TEXT)
+    assert main(["curvature", path]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ValueError: min() arg is an empty sequence\n"
+
+
 def test_a_faulty_simplex_exits_internal(capsys, monkeypatch):
-    # random_0's curvature solves reach the simplex; with a pivot that skips
-    # its flow update, the duality check stops a wrong kappa from printing
-    monkeypatch.setattr(transport, "_solve_transportation", faulty_simplex("skipped flow update"))
+    # random_0's curvature solves reach the primal-dual solve; with an
+    # augmenting path that skips its flow update, the duality check stops a
+    # wrong kappa from printing
+    monkeypatch.setattr(transport, "_solve_transportation", faulty_solver("skipped flow update"))
     path = Path(__file__).resolve().parent / "goldens" / "random_0.edges"
     assert main(["curvature", str(path)]) == EXIT_INTERNAL
     captured = capsys.readouterr()

@@ -2,7 +2,7 @@ import math
 import pickle
 import random
 from fractions import Fraction
-from unittest import mock
+from operator import mul
 
 import networkx as nx
 import pytest
@@ -22,21 +22,19 @@ from ricci_spectrum import transport
 from ricci_spectrum.cli import parse_edge_list
 from ricci_spectrum.errors import CertificateGapNonzero, InfiniteDistance, InternalInconsistency
 from ricci_spectrum.transport import (
-    _basis_cycle,
-    _basis_tree,
     _leftover,
-    _matrix_minimum,
+    _least_cost,
     _max_flow,
     _reach,
     _solve_transportation,
 )
 
 from conftest import (
-    SIMPLEX_FAULTS,
+    SOLVER_FAULTS,
     complete_graph,
     cycle_graph,
     enumerate_transport_optimum,
-    faulty_simplex,
+    faulty_solver,
     full_corpus,
     random_corpus,
     random_measure,
@@ -338,7 +336,7 @@ def _network_simplex_cost(metric, mu, nu):
 
 def test_walk_graph_edges_match_network_simplex():
     # G[2] and G[3] are dense, so their one-step measures span most of the
-    # graph and the simplex needs many pivots
+    # graph, and each plan and certificate is a primal-dual solve on many cells
     solves = 0
     for _, g in full_corpus():
         if g.n_vertices < 6:
@@ -433,8 +431,8 @@ def test_w1_is_a_certified_metric_on_walk_measures_property(g):
 def integer_transportation_problems(draw):
     """Cost matrix, supply and demand on at most 5 x 5 cells, with equal totals.
 
-    Masses are small, so partial sums of supply and demand often coincide
-    and the matrix-minimum start and later pivots meet degenerate bases.
+    Masses are small, so partial sums of supply and demand often coincide,
+    and many cells tie in cost.
     """
     supply = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
     total = sum(supply)
@@ -447,132 +445,21 @@ def integer_transportation_problems(draw):
     return cost, supply, demand
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(integer_transportation_problems())
-def test_updated_basis_tree_matches_a_rebuilt_one_property(problem):
-    cost, supply, demand = problem
-    m, n = len(supply), len(demand)
-    total, flow, u, v = _solve_transportation(cost, supply, demand)
-    assert len(flow) == m + n - 1
-    _, pot, _, _ = _basis_tree(list(flow), cost, m, n)
-    assert (u, v) == (pot[:m], pot[m:])
-    assert all(u[i] + v[j] <= cost[i][j] for i in range(m) for j in range(n))
-    assert all(u[i] + v[j] == cost[i][j] for i, j in flow)
-    assert all(sum(flow.get((i, j), 0) for j in range(n)) == supply[i] for i in range(m))
-    assert all(sum(flow.get((i, j), 0) for i in range(m)) == demand[j] for j in range(n))
-    rows, columns = dict(enumerate(supply)), dict(enumerate(demand))
-    assert total == _network_simplex_cost(lambda i, j: cost[i][j], rows, columns)
-
-
-@st.composite
-def tied_transportation_problems(draw):
-    """An integer_transportation_problems instance whose costs are all c or all in {1, 2}.
-
-    Equal costs make no pivot, and costs from {1, 2} tie the
-    matrix-minimum start's cell order often.
-    """
-    cost, supply, demand = draw(integer_transportation_problems())
-    values = draw(st.sampled_from([(draw(st.integers(0, 9)),), (1, 2)]))
-    cost = [[draw(st.sampled_from(values)) for _ in row] for row in cost]
-    return cost, supply, demand
-
-
-def _spans(cells, m, n):
-    """Whether the cells, as edges between rows 0..m-1 and columns m..m+n-1, connect all."""
-    adj = [[] for _ in range(m + n)]
-    for i, j in cells:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
-    seen, stack = {0}, [0]
-    while stack:
-        for b in adj[stack.pop()]:
-            if b not in seen:
-                seen.add(b)
-                stack.append(b)
-    return len(seen) == m + n
-
-
-def _levels(cost):
-    return sorted({c for row in cost for c in row})
-
-
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(st.one_of(integer_transportation_problems(), tied_transportation_problems()))
-def test_matrix_minimum_start_is_a_spanning_basis_property(problem):
-    cost, supply, demand = problem
-    m, n = len(supply), len(demand)
-    flow = _matrix_minimum(cost, _levels(cost), supply, demand)
-    # m + n - 1 cells that reach all m + n lines form a spanning tree
-    assert len(flow) == m + n - 1
-    assert _spans(flow, m, n)
-    assert all(q >= 0 for q in flow.values())
-    assert all(sum(flow.get((i, j), 0) for j in range(n)) == supply[i] for i in range(m))
-    assert all(sum(flow.get((i, j), 0) for i in range(m)) == demand[j] for j in range(n))
-
-
-def _sorted_order_start(cost, supply, demand):
-    """The matrix-minimum start over all m * n cells sorted by cost, row-major on ties."""
-    m, n = len(supply), len(demand)
-    a, b = list(supply), list(demand)
-    row_open, col_open = [True] * m, [True] * n
-    rows_left = m
-    flow = {}
-    for k in sorted(range(m * n), key=lambda k: cost[k // n][k % n]):
-        i, j = divmod(k, n)
-        if row_open[i] and col_open[j] and len(flow) < m + n - 1:
-            q = min(a[i], b[j])
-            flow[(i, j)] = q
-            a[i] -= q
-            b[j] -= q
-            if a[i] == 0 and rows_left > 1:
-                row_open[i] = False
-                rows_left -= 1
-            else:
-                col_open[j] = False
-    return flow
-
-
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(st.one_of(integer_transportation_problems(), tied_transportation_problems()))
-def test_matrix_minimum_start_follows_the_sorted_cell_order_property(problem):
-    # visiting level by level over the open lines fills the same cells, in
-    # the same order, with the same masses as the sort of all m * n cells
-    cost, supply, demand = problem
-    flow = _matrix_minimum(cost, _levels(cost), supply, demand)
-    expected = _sorted_order_start(cost, supply, demand)
-    assert list(flow.items()) == list(expected.items())
-
-
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(tied_transportation_problems())
-def test_equal_costs_exit_with_the_rebuilt_tree_duals_property(problem):
-    cost, supply, demand = problem
-    m, n = len(supply), len(demand)
-    costs = {c for row in cost for c in row}
-    pivots = []
-    counted = lambda *args: pivots.append(args) or _basis_cycle(*args)
-    with mock.patch.object(transport, "_basis_cycle", counted):
-        total, flow, u, v = _solve_transportation(cost, supply, demand)
-    rows, columns = dict(enumerate(supply)), dict(enumerate(demand))
-    assert total == _network_simplex_cost(lambda i, j: cost[i][j], rows, columns)
-    assert len(flow) == m + n - 1 and _spans(flow, m, n)
-    _, pot, _, _ = _basis_tree(list(flow), cost, m, n)
-    assert (u, v) == (pot[:m], pot[m:])
-    if len(costs) == 1:
-        (c,) = costs
-        assert pivots == []
-        assert total == c * sum(supply)
-        assert (u, v) == ([0] * m, [c] * n)
-
-
 def test_pivot_count_over_the_golden_corpus(monkeypatch):
-    # pivots and routes are deterministic, unlike time, so these counts guard
-    # the start's and the routes' gains: every adjacent pair of each golden
-    # graph's G[1..3], and the solves with three or more cost levels
-    pivots, simplex, solves = [], [], 0
-    counted = lambda *args: pivots.append(args) or _basis_cycle(*args)
-    monkeypatch.setattr(transport, "_basis_cycle", counted)
-    routed = lambda *args: simplex.append(args) or _solve_transportation(*args)
+    # solves, routes and phases are deterministic, unlike time, so these
+    # counts guard the routes' gains: every adjacent pair of each golden
+    # graph's G[1..3], the solves with three or more cost levels, and the
+    # maximum-flow phases those solves take
+    flows, phases, solves = [], [], 0
+    counted = lambda *args: flows.append(args) or _max_flow(*args)
+    monkeypatch.setattr(transport, "_max_flow", counted)
+
+    def routed(*args):
+        before = len(flows)
+        result = _solve_transportation(*args)
+        phases.append(len(flows) - before)
+        return result
+
     monkeypatch.setattr(transport, "_solve_transportation", routed)
     for text in golden_inputs().values():
         g, _ = parse_edge_list(text)
@@ -582,17 +469,37 @@ def test_pivot_count_over_the_golden_corpus(monkeypatch):
                 if x != y:
                     ricci_curvature(gt, x, y)
                     solves += 1
-    assert (solves, len(pivots), len(simplex)) == (936, 73, 85)
+    assert (solves, len(phases), sum(phases)) == (936, 85, 173)
 
 
-@pytest.mark.parametrize("fault", SIMPLEX_FAULTS)
-def test_a_faulty_pivot_fails_the_duality_check(fault):
-    # without the check, the four faults return 9, 9, 10 (with duals that
-    # do not certify it) and 6, and the first leaves a flow of -1
-    cost, supply, demand = [[2, 1], [1, 2], [4, 2]], [3, 1, 2], [3, 3]
-    assert _solve_transportation(cost, supply, demand)[0] == 10
+# three phases, the second with an augmenting path after its greedy fill
+TWO_DUAL_STEPS = [[2, 0, 2], [4, 1, 4]], [2, 2], [1, 1, 2]
+
+
+@pytest.mark.parametrize("fault", SOLVER_FAULTS)
+def test_a_faulty_pivot_fails_the_duality_check(fault, monkeypatch):
+    # without the check, the four faults return 10, 9 (with duals of value
+    # 10 that exceed cell (1, 1)'s cost), 8 (with a flow of -1) and 2
+    cost, supply, demand = TWO_DUAL_STEPS
+    solve = faulty_solver(fault)
+    flows = []
+    counted = lambda *args: flows.append(args) or _max_flow(*args)
+    monkeypatch.setattr(transport, "_max_flow", counted)
+    assert _solve_transportation(cost, supply, demand)[0] == 9
+    assert len(flows) == 3
     with pytest.raises(InternalInconsistency, match="fails its duality check"):
-        faulty_simplex(fault)(cost, supply, demand)
+        solve(cost, supply, demand)
+
+
+def test_a_dual_step_that_is_not_positive_raises(monkeypatch):
+    # a search that claims every column leaves no column to step to, so the
+    # step is 0 with mass left, and the solve stops rather than spin
+    def every_column(cols, into, a, b):
+        return _max_flow(cols, into, a, b)[0], dict.fromkeys(range(len(b)))
+
+    monkeypatch.setattr(transport, "_max_flow", every_column)
+    with pytest.raises(InternalInconsistency, match="dual step of 0"):
+        _solve_transportation(*TWO_DUAL_STEPS)
 
 
 @st.composite
@@ -629,15 +536,38 @@ def _as_measures(cost, supply, demand):
     return metric, mu, nu
 
 
+def _as_instances(problems):
+    return problems.map(lambda problem: _as_measures(*problem))
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(st.one_of(leveled_transportation_problems(), integer_transportation_problems()))
-@example(problem=SHORT_GREEDY)
-def test_every_route_agrees_with_the_simplex_and_networkx_property(problem):
-    cost, supply, demand = problem
-    metric, mu, nu = _as_measures(cost, supply, demand)
-    w1, _ = wasserstein(metric, mu, nu)
-    assert w1 == Fraction(_solve_transportation(cost, supply, demand)[0], sum(supply))
-    assert w1 == _network_simplex_cost(metric, dict(mu.items()), dict(nu.items()))
+@given(
+    st.one_of(
+        _as_instances(leveled_transportation_problems()),
+        _as_instances(integer_transportation_problems()),
+        big_denominator_pairs().map(lambda p: (p[0].distance, *map(ProbMeasure, p[1:]))),
+    )
+)
+@example(instance=_as_measures(*SHORT_GREEDY))
+def test_every_route_agrees_with_the_simplex_and_networkx_property(instance):
+    metric, mu, nu = instance
+    w1, plan = wasserstein(metric, mu, nu)
+    supply, demand, cost, scale = _leftover(metric, mu, nu)
+    a, b = [*supply.values()], [*demand.values()]
+    total, flow, u, v = _solve_transportation(cost, a, b)
+    # a flow of that cost, and duals that bound every flow's cost from below
+    assert all(q >= 0 for q in flow.values())
+    assert [sum(flow.get((i, j), 0) for j in range(len(b))) for i in range(len(a))] == a
+    assert [sum(flow.get((i, j), 0) for i in range(len(a))) for j in range(len(b))] == b
+    assert total == sum(q * cost[i][j] for (i, j), q in flow.items())
+    assert all(u[i] + v[j] <= cost[i][j] for i in range(len(a)) for j in range(len(b)))
+    assert total == sum(map(mul, u, a)) + sum(map(mul, v, b))
+    assert w1 == plan.cost == Fraction(total, scale)
+    assert verify_plan(plan, mu, nu, metric)
+    plain_mu, plain_nu = dict(mu.items()), dict(nu.items())
+    assert w1 == _network_simplex_cost(metric, plain_mu, plain_nu)
+    if len(plain_mu) * len(plain_nu) <= 12:  # the enumeration is exponential
+        assert w1 == enumerate_transport_optimum(metric, plain_mu, plain_nu)
 
 
 def test_a_greedy_fill_short_of_the_maximum_is_augmented(monkeypatch):
@@ -645,7 +575,10 @@ def test_a_greedy_fill_short_of_the_maximum_is_augmented(monkeypatch):
     searches = []
     counted = lambda *args: searches.append(args) or _reach(*args)
     monkeypatch.setattr(transport, "_reach", counted)
-    assert _max_flow(cost, 1, supply, demand) == 3
+    cols = [[j for j, c in enumerate(row) if c == 1] for row in cost]
+    a, b = list(supply), list(demand)
+    _max_flow(cols, [{} for _ in b], a, b)
+    assert a == b == [0, 0, 0]
     assert len(searches) == 2
     # so every unit moves at cost 1
     assert wasserstein(*_as_measures(cost, supply, demand))[0] == 1
@@ -657,7 +590,7 @@ def test_a_flow_short_of_its_cut_raises(monkeypatch):
     cost, supply, demand = SHORT_GREEDY
     monkeypatch.setattr(transport, "_reach", lambda *args: (*_reach(*args)[:2], None))
     with pytest.raises(InternalInconsistency, match="flow of 2 .* has a cut of 3"):
-        _max_flow(cost, 1, supply, demand)
+        _least_cost(cost, supply, demand)
 
 
 @st.composite
